@@ -9,6 +9,7 @@ are rewritten into their material-implication completion before wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .dsl import (
@@ -42,13 +43,13 @@ def atom_of_channel(channel: str) -> str:
 class Gate:
     """Stateless function node; fires its output channel from its inputs."""
 
-    kind: str  # "and" | "or" | "xor"
+    kind: str  # "and" | "or"
     inputs: tuple[str, ...]
     output: str
-    scorer_id: str | None = None
-    probability: float | None = None
 
     def __post_init__(self):
+        if self.kind not in (AND, OR):
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         if not self.inputs:
             raise ValueError("a gate needs at least one input")
         if self.output in self.inputs:
@@ -88,10 +89,27 @@ class Circuit:
     gates: tuple[Gate, ...]
     generators: tuple[Generator, ...]
     facts: frozenset[str]
-    fact_probabilities: tuple[tuple[str, float], ...] = ()
 
     def atoms(self) -> list[str]:
         return sorted({atom_of_channel(c) for c in self.channels})
+
+    @cached_property
+    def watchers(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
+        """Watch lists of the digital kernel, built once per circuit.
+
+        Each channel maps to the gates it feeds as (output, other inputs):
+        once the channel is active, the gate fires as soon as its other
+        inputs are active too. An OR gate needs no other input.
+        """
+        watch: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for gate in self.gates:
+            inputs = tuple(dict.fromkeys(gate.inputs))
+            for channel in inputs:
+                others = (
+                    () if gate.kind == OR else tuple(i for i in inputs if i != channel)
+                )
+                watch.setdefault(channel, []).append((gate.output, others))
+        return {channel: tuple(entries) for channel, entries in watch.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +168,7 @@ def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
 # Compilation
 # ---------------------------------------------------------------------------
 
-def _gate(kind: str, inputs: tuple[str, ...], output: str, probability) -> Gate | None:
+def _gate(kind: str, inputs: tuple[str, ...], output: str) -> Gate | None:
     # A head feeding on itself adds nothing under monotone propagation: an
     # AND needs the output already active, an OR reduces to its other inputs.
     if output in inputs:
@@ -159,7 +177,7 @@ def _gate(kind: str, inputs: tuple[str, ...], output: str, probability) -> Gate 
         inputs = tuple(i for i in inputs if i != output)
         if not inputs:
             return None
-    return Gate(kind, inputs, output, probability=probability)
+    return Gate(kind, inputs, output)
 
 
 def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
@@ -170,7 +188,8 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     (inclusive: any non-empty subset; exclusive: exactly one, resolved by
     `xor_scorer` when given). Choices become unguarded exactly-one
     generators, facts become unconditionally active channels. Probability
-    annotations are stored inert; the digital engine ignores them.
+    annotations are ignored; `igate.prob` turns them into switch channels
+    before compiling.
     """
     if not program.is_ground:
         raise CircuitError("compilation requires a ground program; ground it first")
@@ -186,7 +205,6 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     gates: list[Gate] = []
     generators: list[Generator] = []
     facts: set[str] = set()
-    fact_probs: list[tuple[str, float]] = []
 
     def declare(literals: Iterable[Literal]) -> None:
         for lit in literals:
@@ -237,13 +255,11 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
 
         if rule.is_fact:
             facts.update(head_channels)
-            if rule.probability is not None:
-                fact_probs.extend((c, rule.probability) for c in head_channels)
             continue
 
         kind = OR if rule.body_connective == OR else AND
         for out in head_channels:
-            gate = _gate(kind, body_channels, out, rule.probability)
+            gate = _gate(kind, body_channels, out)
             if gate is not None:
                 gates.append(gate)
 
@@ -252,7 +268,6 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
         gates=tuple(gates),
         generators=tuple(generators),
         facts=frozenset(facts),
-        fact_probabilities=tuple(fact_probs),
     )
 
 

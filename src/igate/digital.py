@@ -1,16 +1,22 @@
 """Boolean fixpoint propagation and exhaustive model enumeration.
 
-Propagation activates channels monotonically until nothing more fires.
-Model search branches over every generator whose guard fires, prunes
-branches in which both channels of an atom become active, deduplicates by
-atom values, and returns models in a deterministic sorted order.
+One worklist kernel (`_fixpoint`, after Dowling & Gallier's linear-time
+Horn satisfiability) computes every fixpoint in the package. Each newly
+active channel is read once: its watch list (`Circuit.watchers`) names the
+gates it feeds, and a gate fires when its last missing input arrives.
+Generators whose guard has fired are resolved between worklist runs.
+Model search branches over every generator left unresolved, extending the
+parent's fixpoint by the selected channels only; it prunes branches in
+which both channels of an atom become active, deduplicates by atom values,
+and returns models in a deterministic sorted order. Weighted worlds
+(`igate.prob`) run the same kernel once per world.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .circuit import (
     EXACTLY_ONE,
@@ -115,52 +121,36 @@ def _score_alternative(gen: Generator, scorer: Scorer) -> tuple[int, ...]:
     return (best_index,)
 
 
-def _run(
+def _fixpoint(
     circuit: Circuit,
-    inputs: Iterable[str],
+    active: set[str],
+    pending: list[str],
+    applied: set[str],
     choices: Mapping[str, tuple[int, ...]],
     scorers: Mapping[str, Scorer],
-    applied: frozenset[str] = frozenset(),
-) -> tuple[frozenset[str], list[Generator]]:
-    """Least fixpoint plus the list of fired-but-unresolved generators.
+) -> list[Generator]:
+    """The propagation kernel: extend `active` in place to the least fixpoint.
 
-    Generators named in `applied` are treated as already resolved, with
-    their selected channels present in `inputs`; model search uses this to
-    avoid re-applying inherited selections on every branch.
+    `pending` lists the active channels whose watch lists are still to be
+    read. Draining it fires every gate whose inputs all became active, so
+    each channel is handled once. Then every fired generator not in
+    `applied` is resolved by `choices` or its scorer and its selection
+    queued, until nothing new activates. Returns the fired generators left
+    without a choice or scorer, in declaration order.
     """
-    active = set(circuit.facts)
-    for channel in inputs:
-        if channel not in circuit.channels:
-            raise ValueError(f"unknown channel {channel!r}")
-        active.add(channel)
-
-    applied = set(applied)
-    unresolved: list[Generator] = []
-    changed = True
-    while changed:
-        changed = False
-        for gate in circuit.gates:
-            if gate.output in active:
-                continue
-            hits = sum(1 for c in gate.inputs if c in active)
-            fired = (
-                hits == len(gate.inputs)
-                if gate.kind == "and"
-                else hits >= 1
-                if gate.kind == "or"
-                else hits == 1  # xor: exactly one active input
-            )
-            if fired:
-                active.add(gate.output)
-                changed = True
-        unresolved = []
+    watchers = circuit.watchers
+    while True:
+        while pending:
+            for output, others in watchers.get(pending.pop(), ()):
+                if output not in active and all(c in active for c in others):
+                    active.add(output)
+                    pending.append(output)
+        unresolved: list[Generator] = []
         for gen in circuit.generators:
-            if gen.id in applied:
-                continue
-            if not all(c in active for c in gen.guard):
+            if gen.id in applied or not all(c in active for c in gen.guard):
                 continue
             if gen.id in choices:
-                selection = tuple(choices[gen.id])
+                selection = choices[gen.id]
                 _validate_selection(gen, selection)
             elif gen.scorer_id is not None and gen.scorer_id in scorers:
                 selection = _score_alternative(gen, scorers[gen.scorer_id])
@@ -169,10 +159,19 @@ def _run(
                 continue
             applied.add(gen.id)
             new = _selection_channels(gen, selection) - active
-            if new:
-                active |= new
-                changed = True
-    return frozenset(active), unresolved
+            active |= new
+            pending.extend(new)
+        if not pending:
+            return unresolved
+
+
+def _initial(circuit: Circuit, inputs: Iterable[str]) -> set[str]:
+    active = set(circuit.facts)
+    for channel in inputs:
+        if channel not in circuit.channels:
+            raise ValueError(f"unknown channel {channel!r}")
+        active.add(channel)
+    return active
 
 
 def propagate(
@@ -190,7 +189,10 @@ def propagate(
     normalized = {
         gen_id: tuple(sel) for gen_id, sel in (choices or {}).items()
     }
-    active, unresolved = _run(circuit, inputs, normalized, scorers or {})
+    active = _initial(circuit, inputs)
+    unresolved = _fixpoint(
+        circuit, active, list(active), set(), normalized, scorers or {}
+    )
     if unresolved:
         gen = unresolved[0]
         raise UnresolvedGeneratorError(
@@ -198,11 +200,29 @@ def propagate(
             f"generator {gen.id} fired without a choice or scorer"
             f" (alternatives: {[sorted(a) for a in gen.alternatives]})",
         )
-    return active
+    return frozenset(active)
 
 
-def _contradictory(active: frozenset[str]) -> bool:
+def _contradictory(active: Collection[str]) -> bool:
     return any(c[0] == "-" and c[1:] in active for c in active)
+
+
+def model_of(
+    atoms: Iterable[str],
+    active: Collection[str],
+    provenance: tuple[tuple[str, tuple[int, ...]], ...] = (),
+) -> Model | None:
+    """The Model that a fixpoint assigns to `atoms`; None if contradictory."""
+    if _contradictory(active):
+        return None
+    return Model(
+        tuple(
+            (atom, atom in active)
+            for atom in atoms
+            if atom in active or "-" + atom in active
+        ),
+        provenance,
+    )
 
 
 def _branch_count(gen: Generator) -> int:
@@ -243,41 +263,32 @@ def enumerate_models(
         )
 
     scorers = scorers or {}
-    inputs = tuple(inputs)
     atoms = circuit.atoms()
     found: dict[tuple[tuple[str, bool], ...], Model] = {}
 
-    def explore(
-        choices: dict[str, tuple[int, ...]],
-        seed: frozenset[str],
-        done: frozenset[str],
-    ) -> None:
-        # Propagation is monotone, so each branch restarts from the parent's
-        # fixpoint extended by the newly selected channels.
-        active, unresolved = _run(circuit, seed, choices, scorers, done)
-        if _contradictory(active):
-            return
-        if unresolved:
+    # Depth-first, first alternative first. Propagation is monotone, so a
+    # branch extends its parent's fixpoint by the newly selected channels.
+    active = _initial(circuit, inputs)
+    stack = [(active, list(active), set(), {})]
+    while stack:
+        active, pending, applied, choices = stack.pop()
+        unresolved = _fixpoint(circuit, active, pending, applied, {}, scorers)
+        if unresolved and not _contradictory(active):
             gen = unresolved[0]
-            branch_done = done | {gen.id}
-            for selection in _selections(gen):
-                explore(
-                    {**choices, gen.id: selection},
-                    active | _selection_channels(gen, selection),
-                    branch_done,
+            for selection in reversed(_selections(gen)):
+                new = _selection_channels(gen, selection) - active
+                stack.append(
+                    (
+                        active | new,
+                        list(new),
+                        applied | {gen.id},
+                        {**choices, gen.id: selection},
+                    )
                 )
-            return
-        assignment = []
-        for atom in atoms:
-            if atom in active:
-                assignment.append((atom, True))
-            elif "-" + atom in active:
-                assignment.append((atom, False))
-        key = tuple(assignment)
-        if key not in found:
-            found[key] = Model(key, tuple(sorted(choices.items())))
-
-    explore({}, frozenset(inputs), frozenset())
+            continue
+        model = model_of(atoms, active, tuple(sorted(choices.items())))
+        if model is not None:
+            found.setdefault(model.assignment, model)
     return [found[key] for key in sorted(found)]
 
 

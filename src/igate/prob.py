@@ -2,11 +2,16 @@
 
 Every probability-annotated statement owns an independent Bernoulli
 switch. A world is one on/off assignment of all switches; its program is
-the deterministic statements plus the enabled annotated ones, evaluated by
-ordinary digital propagation. Contradictory worlds are dropped and the
-remaining mass renormalized. The six dependency forms are additionally
-computed literally over an explicit joint distribution, next to an exact
-conditional oracle, so their agreements and deviations can be measured.
+the deterministic statements plus the enabled annotated ones. The program
+is compiled once, with every switch as a channel ("$s0", a name the parser
+cannot produce) that each gate of its statement takes as an extra AND
+input: a disjunctive body splits into one gate per disjunct, and a fact
+becomes a gate from its switch alone. A world is then one run of the
+digital kernel with the switches that are on as inputs. Contradictory
+worlds are dropped and the remaining mass renormalized. The six dependency
+forms are additionally computed literally over an explicit joint
+distribution, next to an exact conditional oracle, so their agreements and
+deviations can be measured.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import compile_program
-from .digital import CONTRADICTION, FALSE, TRUE, Model, atom_values, propagate
-from .dsl import OR, XOR, Choice, Literal, Program, Rule, canonicalize
+from .digital import Model, model_of, propagate
+from .dsl import AND, OR, SINGLE, XOR, Choice, Literal, Program, Rule
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
 
@@ -33,6 +38,11 @@ class Switch:
     id: str
     owner: str
     probability: float
+
+    @property
+    def channel(self) -> str:
+        """Input channel of the switch; no parsed atom name starts with "$"."""
+        return "$" + self.id
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,27 @@ def _split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]
             )
         if isinstance(stmt, Rule) and stmt.probability is not None:
             switch = Switch(f"s{len(annotated)}", str(stmt), stmt.probability)
-            annotated.append((replace(stmt, probability=None), switch))
+            annotated.append((stmt, switch))
         else:
             deterministic.append(stmt)
     return deterministic, annotated
+
+
+def _switched(rule: Rule, switch: Switch) -> list[Rule]:
+    """Deterministic rules that derive `rule`'s head only while `switch` is on."""
+    channel = Literal(switch.channel)
+    bodies = (
+        [(l,) for l in rule.body] if rule.body_connective == OR else [rule.body]
+    )
+    return [
+        Rule(
+            rule.head,
+            body + (channel,),
+            rule.head_connective,
+            AND if body else SINGLE,
+        )
+        for body in bodies
+    ]
 
 
 def enumerate_worlds(
@@ -78,31 +105,21 @@ def enumerate_worlds(
             f"{len(annotated)} probabilistic switches exceed the limit"
             f" {max_switches}; raise --max-switches to override"
         )
+    for stmt, switch in annotated:
+        deterministic.extend(_switched(stmt, switch))
+    circuit = compile_program(Program(tuple(deterministic), program.domain))
+    atoms = sorted(program.atoms())  # every atom but the switches
     worlds: list[WeightedWorld] = []
     for bits in itertools.product((False, True), repeat=len(annotated)):
         weight = 1.0
-        statements = list(deterministic)
         assignment = []
-        for (stmt, switch), on in zip(annotated, bits):
+        inputs = []
+        for (_, switch), on in zip(annotated, bits):
             weight *= switch.probability if on else 1.0 - switch.probability
             assignment.append((switch.id, on))
             if on:
-                statements.append(stmt)
-        circuit = compile_program(
-            canonicalize(Program(tuple(statements), program.domain))
-        )
-        active = propagate(circuit)
-        values = atom_values(circuit, active)
-        if any(v == CONTRADICTION for v in values.values()):
-            outcome = None
-        else:
-            outcome = Model(
-                tuple(
-                    (atom, value == TRUE)
-                    for atom, value in sorted(values.items())
-                    if value in (TRUE, FALSE)
-                )
-            )
+                inputs.append(switch.channel)
+        outcome = model_of(atoms, propagate(circuit, inputs))
         worlds.append(WeightedWorld(tuple(assignment), weight, outcome))
     return worlds
 

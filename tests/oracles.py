@@ -13,6 +13,7 @@ import random
 
 from igate.dsl import (
     AND,
+    EMPTY,
     OR,
     SINGLE,
     XOR,
@@ -409,3 +410,35 @@ def random_first_order_program(rng: random.Random) -> Program:
                 Constraint(tuple(literal(["X"] + FO_CONSTANTS) for _ in range(size)))
             )
     return Program(tuple(statements), frozenset(FO_CONSTANTS))
+
+
+def random_weighted_program(rng: random.Random) -> Program:
+    """A small ground program for the weighted-world engine.
+
+    Annotated and plain rules alike get conjunctive or disjunctive bodies,
+    negative literals and conjunctive heads; plain constraints sit beside
+    them. At most eight statements, so at most eight switches.
+    """
+    atoms = GROUND_ATOMS[: rng.randint(3, 5)]
+
+    def literal(negative_rate: float = 0.3) -> Literal:
+        return Literal(rng.choice(atoms), (), rng.random() < negative_rate)
+
+    statements = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.15:
+            size = rng.randint(1, 2)
+            body = tuple(dict.fromkeys(literal() for _ in range(size)))
+            statements.append(Constraint(body))
+            continue
+        head = tuple(dict.fromkeys(literal(0.2) for _ in range(rng.randint(1, 2))))
+        size = rng.choice((0, 1, 2, 2, 3))
+        body = tuple(dict.fromkeys(literal() for _ in range(size)))
+        if not body:
+            body_conn = EMPTY
+        else:
+            body_conn = rng.choice((AND, OR)) if len(body) > 1 else SINGLE
+        p = round(rng.uniform(0.05, 0.95), 3) if rng.random() < 0.6 else None
+        head_conn = AND if len(head) > 1 else SINGLE
+        statements.append(Rule(head, body, head_conn, body_conn, p))
+    return Program(tuple(statements))

@@ -261,3 +261,21 @@ def test_criterion_8_property_suites():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"property suites took {elapsed:.3f}s"
     report(8, "generative property suites over random programs")
+
+
+def test_regression_reverse_chain_propagation_is_linear():
+    # Atoms are numbered against the dependency order, so the canonical
+    # statement order runs the chain backwards: a sweep-until-stable loop
+    # needs one pass per link, the worklist kernel one visit per gate.
+    n = 4000
+    source = f"x{n:04d}.\n" + "".join(
+        f"x{i:04d} :- x{i + 1:04d}.\n" for i in range(n)
+    )
+    circuit = compile_program(parse_program(source))
+    assert len(circuit.gates) == n
+    start = time.perf_counter()
+    active = propagate(circuit)
+    elapsed = time.perf_counter() - start
+    assert active == frozenset(f"x{i:04d}" for i in range(n + 1))
+    assert elapsed < 1.0, f"propagation over {n} rules took {elapsed:.3f}s"
+    print(f"[acceptance] regression (propagation, {n}-rule reversed chain): PASS")

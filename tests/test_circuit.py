@@ -174,9 +174,7 @@ class TestCompile:
         assert scored.generators[0].scorer_id == "pick"
 
     def test_annotations_stored_inert(self):
-        circuit = compiled("0.3 :: b :- a. 0.7 :: c.")
-        assert circuit.gates[0].probability == 0.3
-        assert dict(circuit.fact_probabilities) == {"c": 0.7}
+        assert compiled("0.3 :: b :- a. 0.7 :: c.") == compiled("b :- a. c.")
 
     def test_rejects_non_ground(self):
         with pytest.raises(CircuitError, match="ground"):
@@ -229,6 +227,8 @@ class TestCompile:
             Gate("and", (), "p")
         with pytest.raises(ValueError):
             Gate("and", ("p",), "p")
+        with pytest.raises(ValueError, match="gate kind"):
+            Gate("xor", ("a", "b"), "p")
         with pytest.raises(ValueError):
             Generator("g0", (frozenset({"a"}),), EXACTLY_ONE)
 

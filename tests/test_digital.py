@@ -85,19 +85,6 @@ class TestPropagate:
         active = propagate(circuit, scorers={"flat": lambda alt: 0.0})
         assert "p" in active and "q" not in active
 
-    def test_xor_gate_fires_on_exactly_one_input(self):
-        from igate.circuit import Circuit, Gate
-
-        circuit = Circuit(
-            channels=frozenset({"a", "-a", "b", "-b", "p", "-p"}),
-            gates=(Gate("xor", ("a", "b"), "p", scorer_id="s"),),
-            generators=(),
-            facts=frozenset(),
-        )
-        assert "p" in propagate(circuit, ["a"])
-        assert "p" not in propagate(circuit, ["a", "b"])
-        assert "p" not in propagate(circuit)
-
     def test_generator_guard_resolved_iteratively(self):
         # gen0 is the guarded subset generator (rules sort before choices),
         # gen1 the choice feeding its guard

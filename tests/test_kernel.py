@@ -1,0 +1,258 @@
+"""Differential tests of the worklist kernel against the code it replaced.
+
+`sweep_run` is the former propagation loop, kept here as a reference: it
+re-sweeps every gate and generator until nothing changes. Propagation and
+model search must agree with it (active sets, errors, model order and
+provenance), and weighted worlds must agree world by world with a
+reference that recompiles the enabled statements of every world.
+"""
+
+import itertools
+import math
+import random
+import pytest
+
+from igate.circuit import compile_program
+from igate.digital import (
+    Model,
+    _branch_count,
+    _contradictory,
+    _score_alternative,
+    _selection_channels,
+    _selections,
+    _validate_selection,
+    enumerate_models,
+    propagate,
+)
+from igate.dsl import Program, canonicalize, format_program, parse_program
+from igate.errors import GuardError, UnresolvedGeneratorError
+from igate.grounding import ground_program
+from igate.prob import WeightedWorld, _split_statements, enumerate_worlds
+
+from oracles import (
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
+
+SCORER = "pick"
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+def sweep_run(circuit, inputs, choices, scorers, applied=frozenset()):
+    """Least fixpoint by repeated full sweeps, plus the unresolved generators."""
+    active = set(circuit.facts)
+    for channel in inputs:
+        if channel not in circuit.channels:
+            raise ValueError(f"unknown channel {channel!r}")
+        active.add(channel)
+    applied = set(applied)
+    unresolved = []
+    changed = True
+    while changed:
+        changed = False
+        for gate in circuit.gates:
+            if gate.output in active:
+                continue
+            hits = sum(1 for c in gate.inputs if c in active)
+            if hits == len(gate.inputs) if gate.kind == "and" else hits >= 1:
+                active.add(gate.output)
+                changed = True
+        unresolved = []
+        for gen in circuit.generators:
+            if gen.id in applied or not all(c in active for c in gen.guard):
+                continue
+            if gen.id in choices:
+                selection = tuple(choices[gen.id])
+                _validate_selection(gen, selection)
+            elif gen.scorer_id is not None and gen.scorer_id in scorers:
+                selection = _score_alternative(gen, scorers[gen.scorer_id])
+            else:
+                unresolved.append(gen)
+                continue
+            applied.add(gen.id)
+            new = _selection_channels(gen, selection) - active
+            if new:
+                active |= new
+                changed = True
+    return frozenset(active), unresolved
+
+
+def sweep_propagate(circuit, inputs=(), choices=None, scorers=None):
+    active, unresolved = sweep_run(circuit, inputs, choices or {}, scorers or {})
+    if unresolved:
+        raise UnresolvedGeneratorError(unresolved[0].id, "unresolved")
+    return active
+
+
+def sweep_enumerate_models(circuit, max_choice_bits, scorers, inputs):
+    """Model search that restarts every branch from the facts."""
+    bits = sum(math.log2(_branch_count(gen)) for gen in circuit.generators)
+    if bits > max_choice_bits:
+        raise GuardError("too many choice points")
+    atoms = circuit.atoms()
+    found = {}
+
+    def explore(choices, seed, done):
+        active, unresolved = sweep_run(circuit, seed, choices, scorers, done)
+        if _contradictory(active):
+            return
+        if unresolved:
+            gen = unresolved[0]
+            for selection in _selections(gen):
+                explore(
+                    {**choices, gen.id: selection},
+                    active | _selection_channels(gen, selection),
+                    done | {gen.id},
+                )
+            return
+        key = tuple(
+            (atom, atom in active)
+            for atom in atoms
+            if atom in active or "-" + atom in active
+        )
+        found.setdefault(key, Model(key, tuple(sorted(choices.items()))))
+
+    explore({}, frozenset(inputs), frozenset())
+    return [found[key] for key in sorted(found)]
+
+
+def recompiled_worlds(program):
+    """Weighted worlds by compiling each world's enabled statements anew."""
+    program = ground_program(program)
+    deterministic, annotated = _split_statements(program)
+    worlds = []
+    for bits in itertools.product((False, True), repeat=len(annotated)):
+        weight = 1.0
+        statements = list(deterministic)
+        assignment = []
+        for (stmt, switch), on in zip(annotated, bits):
+            weight *= switch.probability if on else 1.0 - switch.probability
+            assignment.append((switch.id, on))
+            if on:
+                statements.append(stmt)
+        circuit = compile_program(
+            canonicalize(Program(tuple(statements), program.domain))
+        )
+        active = propagate(circuit)
+        outcome = None
+        if not _contradictory(active):
+            outcome = Model(
+                tuple(
+                    (atom, atom in active)
+                    for atom in circuit.atoms()
+                    if atom in active or "-" + atom in active
+                )
+            )
+        worlds.append(WeightedWorld(tuple(assignment), weight, outcome))
+    return worlds
+
+
+# ---------------------------------------------------------------------------
+# Random circuits, inputs, choices and scorers
+# ---------------------------------------------------------------------------
+
+def circuits(seed, count=400):
+    """(program, circuit) pairs from both random suites, grounded."""
+    rng = random.Random(seed)
+    for index in range(count):
+        make = random_ground_program if index % 2 else random_first_order_program
+        program = ground_program(make(rng))
+        yield program, compile_program(program, xor_scorer=SCORER)
+
+
+def random_inputs(rng, circuit):
+    channels = sorted(circuit.channels)
+    return rng.sample(channels, rng.randint(0, min(3, len(channels))))
+
+
+def random_scorers(rng, circuit):
+    if rng.random() < 0.3:
+        return {}
+    weights = {c: rng.random() for c in circuit.channels}
+    return {SCORER: lambda alt: sum(weights[c] for c in alt)}
+
+
+def random_choices(rng, circuit):
+    choices = {}
+    for gen in circuit.generators:
+        if rng.random() < 0.1:
+            continue
+        candidates = _selections(gen)
+        choices[gen.id] = rng.choice(candidates)
+    return choices
+
+
+def outcome(call):
+    try:
+        return call()
+    except (UnresolvedGeneratorError, ValueError) as exc:
+        return type(exc), getattr(exc, "generator_id", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+class TestKernelAgainstSweep:
+    def test_propagate_matches_sweep(self):
+        rng = random.Random(901)
+        for program, circuit in circuits(902):
+            for _ in range(6):
+                inputs = random_inputs(rng, circuit)
+                choices = random_choices(rng, circuit)
+                scorers = random_scorers(rng, circuit)
+                got = outcome(lambda: propagate(circuit, inputs, choices, scorers))
+                expected = outcome(
+                    lambda: sweep_propagate(circuit, inputs, choices, scorers)
+                )
+                assert got == expected, format_program(program)
+
+    def test_enumerate_models_matches_sweep(self):
+        rng = random.Random(903)
+        for program, circuit in circuits(904):
+            inputs = random_inputs(rng, circuit) if rng.random() < 0.5 else []
+            scorers = random_scorers(rng, circuit)
+            try:
+                expected = sweep_enumerate_models(circuit, 14, scorers, inputs)
+            except GuardError:
+                with pytest.raises(GuardError):
+                    enumerate_models(circuit, 14, scorers, inputs)
+                continue
+            got = enumerate_models(circuit, 14, scorers, inputs)
+            assert [m.assignment for m in got] == [
+                m.assignment for m in expected
+            ], format_program(program)
+            assert [m.provenance for m in got] == [
+                m.provenance for m in expected
+            ], format_program(program)
+
+    def test_unknown_input_channel_rejected_by_both(self):
+        _, circuit = next(circuits(905, 1))
+        assert outcome(lambda: propagate(circuit, ["zz"])) == outcome(
+            lambda: sweep_propagate(circuit, ["zz"])
+        )
+        with pytest.raises(ValueError, match="unknown channel"):
+            enumerate_models(circuit, inputs=["zz"])
+
+
+class TestWorldsAgainstRecompile:
+    def test_worlds_match_per_world_recompile(self):
+        rng = random.Random(906)
+        for _ in range(200):
+            program = random_weighted_program(rng)
+            got = enumerate_worlds(program)
+            expected = recompiled_worlds(program)
+            assert len(got) == len(expected)
+            for world, reference in zip(got, expected):
+                assert world.assignment == reference.assignment
+                assert world.weight == reference.weight
+                assert world.outcome == reference.outcome, format_program(program)
+
+    def test_switch_channels_stay_out_of_models(self):
+        program = parse_program("0.5 :: a. 0.4 :: b :- a; c. 0.3 :: c, d.")
+        for world in enumerate_worlds(program):
+            assert {atom for atom, _ in world.outcome.assignment} <= program.atoms()

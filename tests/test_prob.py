@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from igate.dsl import parse_literal, parse_program
+from igate.dsl import (
+    AND,
+    OR,
+    Constraint,
+    atom_literal,
+    format_program,
+    parse_literal,
+    parse_program,
+)
 from igate.errors import GuardError, ProbabilityError
 from igate.prob import (
     JointTable,
@@ -17,7 +25,7 @@ from igate.prob import (
     random_table,
 )
 
-from oracles import naive_query
+from oracles import naive_query, random_weighted_program
 
 
 def q(source: str, query: str, given: str = "") -> float:
@@ -118,6 +126,49 @@ class TestQueries:
             got = query_prob(program, parse_literal("a"))
             assert got == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= got <= 1.0
+
+    def test_weighted_disjunctive_body_needs_its_switch(self):
+        # The switch gates each disjunct: h needs both its own switch and a.
+        assert q("0.5 :: h :- a; b. 0.3 :: a. c.", "h") == pytest.approx(
+            0.15, abs=1e-12
+        )
+
+    def test_weighted_statements_agree_with_naive_oracle(self):
+        rng = random.Random(32)
+        seen = dict.fromkeys(
+            ("and body", "or body", "negative body", "conjunctive head",
+             "constraint", "negative query", "given"), 0
+        )
+        for _ in range(400):
+            program = random_weighted_program(rng)
+            for stmt in program.statements:
+                if isinstance(stmt, Constraint):
+                    seen["constraint"] += 1
+                elif stmt.probability is not None:
+                    seen["and body"] += stmt.body_connective == AND
+                    seen["or body"] += stmt.body_connective == OR
+                    seen["negative body"] += any(l.negative for l in stmt.body)
+                    seen["conjunctive head"] += len(stmt.head) > 1
+            atoms = sorted(program.atoms())
+            for _ in range(3):
+                query = atom_literal(rng.choice(atoms), rng.random() < 0.5)
+                given = [
+                    atom_literal(rng.choice(atoms), rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 2))
+                ]
+                seen["negative query"] += query.negative
+                seen["given"] += bool(given)
+                try:
+                    expected = naive_query(program, query, given)
+                except ZeroDivisionError:
+                    with pytest.raises(ProbabilityError, match="zero mass"):
+                        query_prob(program, query, given)
+                    continue
+                got = query_prob(program, query, given)
+                assert got == pytest.approx(expected, abs=1e-12), format_program(
+                    program
+                )
+        assert all(seen.values()), seen
 
     def test_deterministic_programs_have_degenerate_probabilities(self):
         # with no annotations the prob engine must agree with the single
