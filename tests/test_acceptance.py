@@ -7,16 +7,18 @@ in-process CLI dispatch or library call they constrain.
 
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from igate import digital, prob
 from igate.circuit import classicalize, compile_program
 from igate.cli import dispatch
 from igate.digital import check_equivalence, enumerate_models, propagate
 from igate.dsl import canonicalize, format_program, parse_literal, parse_program
-from igate.errors import GuardError
+from igate.errors import GroundingError, GuardError
 from igate.grounding import ground_program
 from igate.learn import count_associations, generate_planted_episodes, propose_rules
 from igate.prob import (
@@ -279,3 +281,56 @@ def test_regression_reverse_chain_propagation_is_linear():
     assert active == frozenset(f"x{i:04d}" for i in range(n + 1))
     assert elapsed < 1.0, f"propagation over {n} rules took {elapsed:.3f}s"
     print(f"[acceptance] regression (propagation, {n}-rule reversed chain): PASS")
+
+
+def test_regression_grounding_guard_fires_before_the_work(tmp_path):
+    # 30 constants: the join grounds to 30^2 bindings of X, Y times 30^2
+    # conjunctive rules for Z, W. Counting refuses it without building any.
+    constants = ", ".join(f"c{i:02d}" for i in range(30))
+    source = (
+        f"#entity {constants}.\nq(c00, c01).\n"
+        "p(X, Y) :- q(X, Z), r(Z, W), s(W, Y).\n"
+    )
+    program = parse_program(source)
+    start = time.perf_counter()
+    with pytest.raises(GroundingError, match="more than 10000 statements"):
+        ground_program(program)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundingError):
+            ground_program(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, f"the grounding guard took {elapsed:.3f}s"
+    assert peak < 1 << 20, f"the grounding guard peaked at {peak} bytes"
+
+    path = tmp_path / "join.ig"
+    path.write_text(source)
+    code, out, elapsed = timed_dispatch(["ground", str(path), "--max-ground", "2000"])
+    assert (code, out) == (2, "")
+    assert elapsed < 0.1, f"ig ground refused in {elapsed:.3f}s"
+    print("[acceptance] regression (grounding guard, 30-constant join): PASS")
+
+
+def test_regression_switch_guard_fires_before_any_world(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(prob, "propagate", lambda *a: calls.append(a))
+    path = tmp_path / "switches.ig"
+    path.write_text("".join(f"0.5 :: a{i}.\n" for i in range(40)))
+    code, out, elapsed = timed_dispatch(["prob", str(path), "--query", "a0"])
+    assert (code, out, calls) == (2, "", [])
+    assert elapsed < 0.5, f"ig prob refused in {elapsed:.3f}s"
+    print("[acceptance] regression (switch guard, 40 weighted facts): PASS")
+
+
+def test_regression_choice_guard_fires_before_the_search(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(digital, "_fixpoint", lambda *a: calls.append(a))
+    path = tmp_path / "choices.ig"
+    path.write_text("".join(f"1{{a{i}; b{i}}}1.\n" for i in range(40)))
+    code, out, elapsed = timed_dispatch(["models", str(path)])
+    assert (code, out, calls) == (2, "", [])
+    assert elapsed < 0.5, f"ig models refused in {elapsed:.3f}s"
+    print("[acceptance] regression (choice guard, 40 binary choices): PASS")

@@ -93,6 +93,19 @@ class TestGrounding:
             ground_program(parse_program(source), max_rules=100)
         ground_program(parse_program(source), max_rules=100_000)
 
+    def test_spanning_head_error_precedes_the_limit(self):
+        # the statement that crosses the limit reports its own defect first
+        with pytest.raises(GroundingError, match="spans"):
+            ground_program(
+                parse_program("#entity c1, c2.\np(Y), q(Y) :- a."), max_rules=1
+            )
+
+    def test_collapsed_choice_error_precedes_the_limit(self):
+        with pytest.raises(GroundingError, match="collapsed the alternatives"):
+            ground_program(
+                parse_program("#entity c1, c2.\n1{p(X); p(c1)}1."), max_rules=1
+            )
+
     def test_output_bound(self):
         # |domain|^(distinct vars) * statements bounds the output size
         program = parse_program("#entity c1, c2.\np(X) :- a(X, Y), b(Y, Z).")
