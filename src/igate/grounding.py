@@ -5,28 +5,26 @@ per constant assignment. Body-only variables are existential and expand
 into an inclusive body disjunction (equivalently, one rule per assignment
 when the body is a conjunction of several literals). Head-only variables
 are existential on the output side and expand into an inclusive
-disjunctive head. Constraint and choice variables are universal.
+disjunctive head; a conjunctive head splits into one such rule per
+conjunct. Constraint and choice variables are universal.
 
-Each statement's output size is counted in closed form from the pool size
-and its variable classes, and checked against the statement limit before
-the statement is built; bindings are generated lazily. A guarded program is
-therefore refused in time and memory independent of |pool|^k.
+Each statement has one shape (`_shape`): the variables it is instantiated
+over and whether each binding splits its head. `ground_program` reads the
+statement's size from that shape and checks the statement limit before
+`_instances` builds the statement from the same shape, so a refused program
+costs neither the time nor the memory of its expansion.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .dsl import (
     AND,
-    EMPTY,
     OR,
     SINGLE,
-    XOR,
     Choice,
-    Constraint,
     Literal,
     Program,
     Rule,
@@ -39,125 +37,15 @@ from .errors import GroundingError
 MAX_GROUND_RULES = 10_000
 
 
-def _substitute(lit: Literal, binding: Mapping[str, str]) -> Literal:
-    args = tuple(
-        Term(binding[t.name]) if t.is_variable and t.name in binding else t
-        for t in lit.args
-    )
-    return replace(lit, args=args)
+def _substitute(lit: Literal, binding: Mapping[str, Term]) -> Literal:
+    # binding keys are variable names, which no constant can equal
+    args = tuple(binding.get(t.name, t) for t in lit.args)
+    return Literal(lit.predicate, args, lit.negative)
 
 
-def _assignments(variables: list[str], constants: list[str]) -> Iterator[dict[str, str]]:
+def _assignments(variables: list[str], constants: list[Term]) -> Iterator[dict[str, Term]]:
     for combo in itertools.product(constants, repeat=len(variables)):
         yield dict(zip(variables, combo))
-
-
-def _expand_literal(lit: Literal, constants: list[str]) -> list[Literal]:
-    """All instantiations of a literal over its own remaining variables."""
-    own = sorted(lit.variables())
-    return [_substitute(lit, a) for a in _assignments(own, constants)]
-
-
-def _dedup(literals: Iterable[Literal]) -> list[Literal]:
-    return list(dict.fromkeys(literals))
-
-
-def _variable_classes(rule: Rule) -> tuple[list[str], list[str], set[str]]:
-    """The universal, body-only and head-only variables of `rule`."""
-    head_vars = set().union(*(l.variables() for l in rule.head))
-    body_vars = set().union(*(l.variables() for l in rule.body))
-    return (
-        sorted(head_vars & body_vars),
-        sorted(body_vars - head_vars),
-        head_vars - body_vars,
-    )
-
-
-def _ground_rule(rule: Rule, constants: list[str]) -> list[Rule]:
-    universal, body_only, head_only = _variable_classes(rule)
-
-    out: list[Rule] = []
-    for binding in _assignments(universal, constants):
-        head = [_substitute(l, binding) for l in rule.head]
-        body = [_substitute(l, binding) for l in rule.body]
-
-        # Body existentials: OR bodies (and single literals) flatten into a
-        # wider disjunction; conjunctions of several literals split into one
-        # rule per assignment instead, which is the equivalent reading.
-        if not body_only:
-            bodies = [(tuple(body), rule.body_connective)]
-        elif len(body) <= 1 or rule.body_connective == OR:
-            expanded = _dedup(
-                inst for lit in body for inst in _expand_literal(lit, constants)
-            )
-            conn = OR if len(expanded) > 1 else (SINGLE if expanded else EMPTY)
-            bodies = [(tuple(expanded), conn)]
-        else:
-            remaining = sorted(
-                set().union(*(l.variables() for l in body)) & set(body_only)
-            )
-            bodies = [
-                (tuple(_dedup(_substitute(l, extra) for l in body)), rule.body_connective)
-                for extra in _assignments(remaining, constants)
-            ]
-
-        for ground_body, body_conn in bodies:
-            if len(ground_body) == 1:
-                body_conn = SINGLE
-            out.extend(
-                _ground_head(
-                    rule, head, head_only, ground_body, body_conn, constants
-                )
-            )
-    return out
-
-
-def _ground_head(
-    rule: Rule,
-    head: list[Literal],
-    head_only: set[str],
-    body: tuple[Literal, ...],
-    body_conn: str,
-    constants: list[str],
-) -> list[Rule]:
-    def make(head_lits: list[Literal], conn: str) -> Rule:
-        head_lits = _dedup(head_lits)
-        if len(head_lits) == 1:
-            conn = SINGLE
-        return Rule(tuple(head_lits), body, conn, body_conn, rule.probability)
-
-    if not head_only or all(l.is_ground for l in head):
-        return [make(head, rule.head_connective)]
-
-    if len(head) == 1 or rule.head_connective in (OR, XOR):
-        # An existential head becomes an inclusive (or exclusive) disjunction
-        # over the possible instantiations.
-        expanded = _dedup(
-            inst for lit in head for inst in _expand_literal(lit, constants)
-        )
-        conn = rule.head_connective if rule.head_connective in (OR, XOR) else OR
-        return [make(expanded, conn)]
-
-    # Conjunctive head with head-only variables: factor per head literal
-    # (`_count` has checked that no variable spans two literals), or
-    # substitute in place when the expansion is unique.
-    per_literal = [_expand_literal(lit, constants) for lit in head]
-    if all(len(insts) == 1 for insts in per_literal):
-        return [make([insts[0] for insts in per_literal], rule.head_connective)]
-    return [
-        make(insts, OR if len(insts) > 1 else SINGLE)
-        for insts in (_dedup(i) for i in per_literal)
-    ]
-
-
-def _ground_universally(
-    literals: tuple[Literal, ...], constants: list[str]
-) -> list[tuple[Literal, ...]]:
-    variables = sorted(set().union(*(l.variables() for l in literals)))
-    return [
-        tuple(_dedup(_substitute(l, binding) for l in literals))
-        for binding in _assignments(variables, constants)
-    ]
 
 
 def _collapses(choice: Choice, pool: list[str]) -> bool:
@@ -192,25 +80,25 @@ def _collapses(choice: Choice, pool: list[str]) -> bool:
     return all(find(v).is_variable or find(v).name in pool for v in parent)
 
 
-def _count(stmt: Statement, variables: set[str], pool: list[str]) -> int:
-    """Statements that grounding `stmt` emits, computed without building any.
+def _shape(stmt: Statement, variables: set[str], pool: list[str]) -> tuple[list[str], bool]:
+    """The variables `stmt` is instantiated over, and whether its head splits.
 
-    Mirrors `_ground_rule` and `_ground_head` branch by branch, and raises
-    the structural error that building the statement would raise.
+    Those variables are the universal ones, plus the body-only ones of a
+    conjunctive body of several literals; all variables of a constraint or
+    choice; all variables when the pool has one constant. Every other
+    variable stays open and expands inside its own statement, as a
+    disjunctive body or head. A split conjunctive head gives one rule per
+    conjunct for each binding. Raises the statement's structural errors.
     """
-    if not variables:
-        return 1
-    n = len(pool)
     if isinstance(stmt, Choice) and _collapses(stmt, pool):
         raise GroundingError(f"grounding collapsed the alternatives of {stmt}")
-    if not isinstance(stmt, Rule):
-        return n ** len(variables)
-    universal, body_only, head_only = _variable_classes(stmt)
-    size = n ** len(universal)
-    if body_only and len(stmt.body) > 1 and stmt.body_connective != OR:
-        size *= n ** len(body_only)  # one conjunctive rule per assignment
-    if head_only and stmt.head_connective == AND and n > 1:
-        # one disjunctive rule per head literal, unless a variable spans two
+    if not variables or not isinstance(stmt, Rule) or len(pool) == 1:
+        return sorted(variables), False
+    head_vars = set().union(*(l.variables() for l in stmt.head))
+    body_vars = set().union(*(l.variables() for l in stmt.body))
+    head_only = head_vars - body_vars
+    split = bool(head_only) and stmt.head_connective == AND
+    if split:
         seen: set[str] = set()
         for lit in stmt.head:
             overlap = lit.variables() & head_only & seen
@@ -221,8 +109,57 @@ def _count(stmt: Statement, variables: set[str], pool: list[str]) -> int:
                     f" flat-rule expansion"
                 )
             seen |= lit.variables() & head_only
-        size *= len(stmt.head)
-    return size
+    if len(stmt.body) > 1 and stmt.body_connective == AND:
+        return sorted(body_vars), split
+    return sorted(head_vars & body_vars), split
+
+
+def _instances(
+    stmt: Statement, bound: list[str], split: bool, constants: list[Term]
+) -> Iterator[Statement]:
+    """The ground statements of `stmt`, one binding of `bound` at a time.
+
+    Every binding shares the one `Term` of each constant. Each literal is
+    expanded over its own open variables once, before the loop. A
+    single-literal head or body that widens becomes a disjunction, and so
+    does each conjunct of a split head.
+    """
+    closed = set(bound)
+
+    def expand(lit: Literal) -> list[Literal]:
+        return [
+            _substitute(lit, a)
+            for a in _assignments(sorted(lit.variables() - closed), constants)
+        ]
+
+    def fill(literals: list[Literal], binding: dict[str, Term]) -> tuple[Literal, ...]:
+        return tuple(dict.fromkeys(_substitute(l, binding) for l in literals))
+
+    if not isinstance(stmt, Rule):
+        literals = list(stmt.literals())
+        for binding in _assignments(bound, constants):
+            yield type(stmt)(fill(literals, binding))
+        return
+
+    body = [inst for lit in stmt.body for inst in expand(lit)]
+    if split:
+        heads = [expand(lit) for lit in stmt.head]
+    else:
+        heads = [[inst for lit in stmt.head for inst in expand(lit)]]
+    head_conn = OR if split or stmt.head_connective == SINGLE else stmt.head_connective
+    body_conn = OR if stmt.body_connective == SINGLE else stmt.body_connective
+    for binding in _assignments(bound, constants):
+        ground_body = fill(body, binding)
+        ground_body_conn = SINGLE if len(ground_body) == 1 else body_conn
+        for head in heads:
+            ground_head = fill(head, binding)
+            yield Rule(
+                ground_head,
+                ground_body,
+                SINGLE if len(ground_head) == 1 else head_conn,
+                ground_body_conn,
+                stmt.probability,
+            )
 
 
 def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:
@@ -240,28 +177,22 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
             for lit in stmt.head:
                 constants.update(t.name for t in lit.args if not t.is_variable)
     pool = sorted(constants)
+    terms = [Term(c) for c in pool]
 
     out: list[Statement] = []
     for stmt in program.statements:
-        variables = set().union(*(lit.variables() for lit in stmt.literals()))
+        variables = {t.name for lit in stmt.literals() for t in lit.args if t.is_variable}
         if variables and not pool:
             raise GroundingError(
                 f"statement {stmt} has variables but the domain is empty;"
                 f" declare constants with #entity"
             )
-        if len(out) + _count(stmt, variables, pool) > max_rules:
+        bound, split = _shape(stmt, variables, pool)
+        size = len(pool) ** len(bound) * (len(stmt.head) if split else 1)
+        if len(out) + size > max_rules:
             raise GroundingError(
                 f"grounding produced more than {max_rules} statements; raise"
                 f" the limit (max_rules / --max-ground) to override"
             )
-        if not variables:
-            out.append(stmt)
-        elif isinstance(stmt, Rule):
-            out.extend(_ground_rule(stmt, pool))
-        elif isinstance(stmt, Constraint):
-            out.extend(Constraint(b) for b in _ground_universally(stmt.body, pool))
-        elif isinstance(stmt, Choice):
-            out.extend(
-                Choice(lits) for lits in _ground_universally(stmt.literals_, pool)
-            )
+        out.extend(_instances(stmt, bound, split, terms) if variables else (stmt,))
     return canonicalize(Program(tuple(out), program.domain))

@@ -263,14 +263,15 @@ class TestGuardOverrides:
         code, _ = dispatch(["models", path, "--max-choices", "6"])
         assert code == 0
 
-    def test_max_ground_flag(self, tmp_path):
+    @pytest.mark.parametrize("command", ["ground", "compile", "models", "eval"])
+    def test_max_ground_flag(self, tmp_path, command):
         source = "#entity c1, c2, c3, c4.\n" + "\n".join(
             f"p{i}(X, Y) :- q{i}(X, Z), r{i}(Y, W)." for i in range(4)
         )
         path = write(tmp_path, "p.ig", source)
-        code, _ = dispatch(["ground", path, "--max-ground", "10"])
+        code, _ = dispatch([command, path, "--max-ground", "10"])
         assert code == 2
-        code, _ = dispatch(["ground", path, "--max-ground", "2000"])
+        code, _ = dispatch([command, path, "--max-ground", "2000"])
         assert code == 0
 
 
