@@ -22,6 +22,7 @@ from .dsl import (
     Literal,
     Program,
     Rule,
+    atom_literal,
     canonicalize,
     canonicalize_statement,
 )
@@ -29,10 +30,6 @@ from .errors import CircuitError
 
 EXACTLY_ONE = "exactly_one"
 NONEMPTY_SUBSET = "nonempty_subset"
-
-
-def negate_channel(channel: str) -> str:
-    return channel[1:] if channel.startswith("-") else "-" + channel
 
 
 def atom_of_channel(channel: str) -> str:
@@ -128,12 +125,8 @@ def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     rules = []
     for i, lit in enumerate(constraint.body):
         rest = tuple(l for j, l in enumerate(constraint.body) if j != i)
-        conn = AND if len(rest) > 1 else (SINGLE if rest else "empty")
-        rules.append(
-            canonicalize_statement(
-                Rule((lit.negated(),), rest, SINGLE, conn)
-            )
-        )
+        rule = Rule((lit.negated(),), rest, body_connective=AND)
+        rules.append(canonicalize_statement(rule))
     return tuple(sorted(set(rules), key=str))
 
 
@@ -142,7 +135,8 @@ def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
 
     Atoms covered by an existing choice, or asserted by a deterministic
     (conjunctive) fact, keep their status; everything else gets
-    "1{x; -x}1." so that enumeration explores all sign assignments.
+    "1{x; -x}1." so that enumeration explores all sign assignments. The
+    choices follow the program's own statements, in atom order.
     """
     if not program.is_ground:
         raise CircuitError("classicalize requires a ground program")
@@ -156,12 +150,10 @@ def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
         ):
             covered.update(l.atom_name for l in stmt.head)
     atoms = sorted((program.atoms() | set(extra_atoms)) - covered)
-    from .dsl import atom_literal
-
     choices = tuple(
         Choice((atom_literal(a), atom_literal(a, negative=True))) for a in atoms
     )
-    return canonicalize(Program(program.statements + choices, program.domain))
+    return Program(program.statements + choices, program.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +174,10 @@ def _gate(kind: str, inputs: tuple[str, ...], output: str) -> Gate | None:
 
 def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     """Wire a ground program into a Circuit.
+
+    This is the one place the wiring order is fixed: the program is put in
+    canonical order first, so gates and generators (gen0, gen1, ...) are
+    numbered the same whatever the order of its statements.
 
     Conjunctive bodies become AND gates, disjunctive bodies OR gates, with
     one gate per head conjunct. Disjunctive heads become guarded generators

@@ -9,6 +9,7 @@ environment variable overrides the model-enumeration guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -301,6 +302,7 @@ def _cmd_learn(args, out) -> int:
 # Parser wiring and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="ig",

@@ -98,7 +98,13 @@ class Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    """head [:- body], optionally weighted; a fact is a Rule with empty body."""
+    """head [:- body], optionally weighted; a fact is a Rule with empty body.
+
+    The connective of a side with one literal or none is set from its
+    length: a one-literal side is 'single' and an empty body 'empty',
+    whatever was passed. A longer side keeps its connective, which must be
+    'and', 'or' or (heads only) 'xor'.
+    """
 
     head: tuple[Literal, ...]
     body: tuple[Literal, ...] = ()
@@ -109,16 +115,15 @@ class Rule:
     def __post_init__(self):
         if not self.head:
             raise ValueError("rule head must be non-empty")
-        if (len(self.head) == 1) != (self.head_connective == SINGLE):
-            raise ValueError("head connective inconsistent with head length")
-        if len(self.body) == 0 and self.body_connective != EMPTY:
-            raise ValueError("empty body must use the 'empty' connective")
-        if len(self.body) == 1 and self.body_connective != SINGLE:
-            raise ValueError("single-literal body must use the 'single' connective")
-        if len(self.body) > 1 and self.body_connective not in (AND, OR):
-            raise ValueError("multi-literal body must be 'and' or 'or'")
-        if len(self.head) > 1 and self.head_connective not in (AND, OR, XOR):
+        if len(self.head) == 1:
+            object.__setattr__(self, "head_connective", SINGLE)
+        elif self.head_connective not in (AND, OR, XOR):
             raise ValueError("multi-literal head must be 'and', 'or', or 'xor'")
+        if len(self.body) <= 1:
+            short = SINGLE if self.body else EMPTY
+            object.__setattr__(self, "body_connective", short)
+        elif self.body_connective not in (AND, OR):
+            raise ValueError("multi-literal body must be 'and' or 'or'")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
 
@@ -389,7 +394,7 @@ class _Parser:
     def rule(self, probability: float | None) -> Rule:
         head, head_conn = self.literal_list(allow=(AND, OR, XOR))
         body: list[Literal] = []
-        body_conn = EMPTY
+        body_conn = AND
         if self.peek().kind == "implies":
             self.advance()
             body, body_conn = self.literal_list(allow=(AND, OR))
@@ -421,9 +426,8 @@ class _Parser:
                     tok.column,
                 )
             literals.append(self.literal())
-        if connective is None:
-            return literals, SINGLE
-        return literals, connective
+        # a list without separators has one literal; Rule marks it 'single'
+        return literals, connective or AND
 
     def literal(self) -> Literal:
         negative = False
@@ -507,30 +511,23 @@ def atom_literal(atom_name: str, negative: bool = False) -> Literal:
 # Canonical form and printing
 # ---------------------------------------------------------------------------
 
-def _canonical_literals(literals: Sequence[Literal], connective: str) -> tuple[tuple[Literal, ...], str]:
-    unique = sorted(set(literals), key=Literal.sort_key)
-    if len(unique) == 1:
-        return tuple(unique), SINGLE
-    return tuple(unique), connective
+def _sorted_unique(literals: Sequence[Literal]) -> tuple[Literal, ...]:
+    return tuple(sorted(set(literals), key=Literal.sort_key))
 
 
 def canonicalize_statement(stmt: Statement) -> Statement:
     if isinstance(stmt, Rule):
-        head, head_conn = _canonical_literals(
-            stmt.head, stmt.head_connective if stmt.head_connective != SINGLE else AND
+        return Rule(
+            _sorted_unique(stmt.head),
+            _sorted_unique(stmt.body),
+            stmt.head_connective,
+            stmt.body_connective,
+            stmt.probability,
         )
-        if not stmt.body:
-            body, body_conn = (), EMPTY
-        else:
-            body, body_conn = _canonical_literals(
-                stmt.body, stmt.body_connective if stmt.body_connective != SINGLE else AND
-            )
-        return Rule(head, body, head_conn, body_conn, stmt.probability)
     if isinstance(stmt, Constraint):
-        body, _ = _canonical_literals(stmt.body, AND)
-        return Constraint(body)
+        return Constraint(_sorted_unique(stmt.body))
     if isinstance(stmt, Choice):
-        return Choice(tuple(sorted(set(stmt.literals_), key=Literal.sort_key)))
+        return Choice(_sorted_unique(stmt.literals_))
     raise TypeError(f"unknown statement type {type(stmt).__name__}")
 
 

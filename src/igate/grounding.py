@@ -13,6 +13,10 @@ over and whether each binding splits its head. `ground_program` reads the
 statement's size from that shape and checks the statement limit before
 `_instances` builds the statement from the same shape, so a refused program
 costs neither the time nor the memory of its expansion.
+
+The ground statements come back in the order they are built and may
+repeat; the code that reads statement order (`compile_program`,
+`format_program`) puts them in canonical order itself.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .dsl import (
     Rule,
     Statement,
     Term,
-    canonicalize,
 )
 from .errors import GroundingError
 
@@ -150,20 +153,17 @@ def _instances(
     body_conn = OR if stmt.body_connective == SINGLE else stmt.body_connective
     for binding in _assignments(bound, constants):
         ground_body = fill(body, binding)
-        ground_body_conn = SINGLE if len(ground_body) == 1 else body_conn
         for head in heads:
-            ground_head = fill(head, binding)
             yield Rule(
-                ground_head,
-                ground_body,
-                SINGLE if len(ground_head) == 1 else head_conn,
-                ground_body_conn,
-                stmt.probability,
+                fill(head, binding), ground_body, head_conn, body_conn, stmt.probability
             )
 
 
 def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:
-    """Return the variable-free equivalent of `program`, canonicalized.
+    """Return the variable-free equivalent of `program`, in build order.
+
+    Statements come out in source order, each expanded one binding after
+    another, with duplicates kept; a ground statement passes through as is.
 
     Instantiation ranges over the declared domain plus any constants
     introduced by ground facts. Raises GroundingError when a variable has no
@@ -195,4 +195,4 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
                 f" the limit (max_rules / --max-ground) to override"
             )
         out.extend(_instances(stmt, bound, split, terms) if variables else (stmt,))
-    return canonicalize(Program(tuple(out), program.domain))
+    return Program(tuple(out), program.domain)

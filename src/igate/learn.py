@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dsl import AND, OR, SINGLE, Literal, Program, Rule, atom_literal, canonicalize
+from .dsl import AND, OR, SINGLE, Literal, Program, Rule, atom_literal
 
 Episode = frozenset[str]
 
@@ -228,7 +228,7 @@ def apply_proposal(program: Program, proposal: RuleProposal) -> Program:
     statements = program.statements + (proposal.rule,)
     if proposal.dual is not None:
         statements += (proposal.dual,)
-    return canonicalize(Program(statements, program.domain))
+    return Program(statements, program.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import compile_program
 from .digital import Model, model_of, propagate
-from .dsl import AND, OR, SINGLE, XOR, Choice, Literal, Program, Rule
+from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonicalize
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
 
@@ -36,7 +36,6 @@ class Switch:
     """Independent Bernoulli enabling switch of one annotated statement."""
 
     id: str
-    owner: str
     probability: float
 
     @property
@@ -70,7 +69,7 @@ def _split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]
                 "probabilistic evaluation does not support disjunctive heads"
             )
         if isinstance(stmt, Rule) and stmt.probability is not None:
-            switch = Switch(f"s{len(annotated)}", str(stmt), stmt.probability)
+            switch = Switch(f"s{len(annotated)}", stmt.probability)
             annotated.append((stmt, switch))
         else:
             deterministic.append(stmt)
@@ -84,12 +83,7 @@ def _switched(rule: Rule, switch: Switch) -> list[Rule]:
         [(l,) for l in rule.body] if rule.body_connective == OR else [rule.body]
     )
     return [
-        Rule(
-            rule.head,
-            body + (channel,),
-            rule.head_connective,
-            AND if body else SINGLE,
-        )
+        Rule(rule.head, body + (channel,), rule.head_connective, AND)
         for body in bodies
     ]
 
@@ -97,8 +91,13 @@ def _switched(rule: Rule, switch: Switch) -> list[Rule]:
 def enumerate_worlds(
     program: Program, max_switches: int = MAX_SWITCHES
 ) -> list[WeightedWorld]:
-    """All 2^n switch assignments with their weights and propagation outcomes."""
-    program = ground_program(program)
+    """All 2^n switch assignments with their weights and propagation outcomes.
+
+    Switches are numbered ($s0, $s1, ...) over the canonical order of the
+    ground program, as are the errors for choices and disjunctive heads, so
+    neither depends on the order of the source statements.
+    """
+    program = canonicalize(ground_program(program))
     deterministic, annotated = _split_statements(program)
     if len(annotated) > max_switches:
         raise GuardError(

@@ -40,9 +40,6 @@ class ConceptVector:
     def array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=float)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array()))
-
 
 def concept_vector(label: str, values: Sequence[float]) -> ConceptVector:
     return ConceptVector(label, tuple(float(v) for v in values))

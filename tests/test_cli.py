@@ -1,14 +1,25 @@
 """Exit-code contract, output formats, and schema validation for `ig`."""
 
+import io
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from igate.cli import dispatch
+from igate.cli import _dispatch, dispatch
+from igate.dsl import format_program
+from igate.errors import GroundingError
+from igate.grounding import ground_program
 from igate.learn import dump_episodes_jsonl, generate_planted_episodes
+
+from oracles import (
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
 
 PROGRAMS = Path(__file__).parent.parent / "demos" / "programs"
 
@@ -17,6 +28,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run(argv):
+    """One in-process invocation: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = _dispatch(argv, out, err)
+    return code, out.getvalue(), err.getvalue()
 
 
 def schema(name: str) -> dict:
@@ -322,3 +340,94 @@ class TestDeterminism:
             first = dispatch(argv)
             second = dispatch(argv)
             assert first == second and first[0] == 0
+
+
+class TestOneParserPerProcess:
+    def test_interleaved_commands_repeat_and_flags_do_not_carry_over(self, tmp_path):
+        path = write(
+            tmp_path,
+            "p.ig",
+            "#entity c1, c2, c3, c4.\nq(c1). r(c2).\np(X, Y) :- q(X), r(Y).\n",
+        )
+        invocations = [
+            ["--help"],
+            ["models", "--frobnicate", path],
+            ["models", "--json", path],
+            ["models", path],
+            ["eval", path, "--set", "q(c3)=true"],
+            ["ground", path, "--max-ground", "10"],
+            ["eval", path],
+            ["ground", path],
+        ]
+        first = [run(argv) for argv in invocations]
+        second = [run(argv) for argv in invocations]
+        assert first == second
+        help_, usage, as_json, plain, with_set, refused, bare, ground = first
+        assert help_[0] == 0 and "COMMAND" in help_[1]
+        assert usage[0] == 1 and "--frobnicate" in usage[2]
+        assert as_json[0] == plain[0] == 0
+        assert json.loads(as_json[1].splitlines()[0])
+        assert not plain[1].startswith("{")
+        assert "p(c3,c2): true" in with_set[1]
+        assert "p(c3,c2): unknown" in bare[1]
+        assert refused[0] == 2 and ground[0] == 0
+        assert ground[1].count(":-") == 16
+
+
+def shuffled_source(program, rng):
+    """The program's statements as text, in a random order."""
+    statements = list(program.statements)
+    rng.shuffle(statements)
+    lines = [str(stmt) for stmt in statements]
+    if program.domain:
+        lines.insert(0, f"#entity {', '.join(sorted(program.domain))}.")
+    return "\n".join(lines) + "\n"
+
+
+class TestStatementOrder:
+    def test_shuffled_source_prints_what_the_canonical_text_prints(self, tmp_path):
+        """Every command reads the same output from any statement order.
+
+        Programs whose grounding raises are left out: grounding reports its
+        errors in source order. One program in five repeats a statement,
+        which the canonical text writes once. The `prob` runs include
+        programs with both choices and disjunctive heads, so which error
+        fires first is checked too.
+        """
+        rng = random.Random(515)
+        makers = (
+            random_ground_program,
+            random_first_order_program,
+            random_weighted_program,
+        )
+        checked = 0
+        for index in range(150):
+            program = makers[index % 3](rng)
+            if rng.random() < 0.2:
+                extra = rng.choice(program.statements)
+                program = type(program)(program.statements + (extra,), program.domain)
+            try:
+                ground_program(program)
+            except GroundingError:
+                continue
+            canonical = write(tmp_path, "canonical.ig", format_program(program))
+            text = shuffled_source(program, rng)
+            shuffled = write(tmp_path, "shuffled.ig", text)
+            atoms = sorted(program.atoms())
+            prob_flags = ["--query", atoms[0]]
+            if len(atoms) > 1 and index % 2:
+                prob_flags += ["--given", atoms[-1]]
+            for command in (
+                ["format"],
+                ["ground"],
+                ["compile"],
+                ["models"],
+                ["models", "--classical"],
+                ["eval"],
+                ["prob", *prob_flags],
+            ):
+                expected = run([command[0], canonical, *command[1:]])
+                got = run([command[0], shuffled, *command[1:]])
+                assert got == expected, (command, text)
+            checked += 1
+        assert checked > 100

@@ -7,6 +7,7 @@ import pytest
 
 from igate.dsl import (
     AND,
+    EMPTY,
     OR,
     SINGLE,
     XOR,
@@ -120,6 +121,21 @@ class TestParsing:
         assert lit.negative and lit.predicate == "has"
         with pytest.raises(ParseError):
             parse_literal("a, b")
+
+
+class TestRuleConnectives:
+    def test_one_literal_side_is_single_whatever_was_passed(self):
+        a, b = Literal("a"), Literal("b")
+        assert Rule((a,), (b,), OR, AND) == Rule((a,), (b,), SINGLE, SINGLE)
+
+    def test_empty_body_is_empty_whatever_was_passed(self):
+        assert Rule((Literal("a"),), (), AND, OR).body_connective == EMPTY
+
+    def test_longer_side_still_validated(self):
+        with pytest.raises(ValueError):
+            Rule((Literal("a"), Literal("b")), (), SINGLE)
+        with pytest.raises(ValueError):
+            Rule((Literal("a"),), (Literal("b"), Literal("c")), SINGLE, XOR)
 
 
 class TestFormatting:

@@ -6,7 +6,7 @@ import pytest
 
 from igate.circuit import compile_program
 from igate.digital import enumerate_models
-from igate.dsl import canonicalize, format_program, parse_program
+from igate.dsl import format_program, parse_program
 from igate.errors import GroundingError
 from igate.grounding import ground_program
 
@@ -29,9 +29,9 @@ class TestGrounding:
         assert len(program.statements) == 2
 
     def test_identity_on_ground_input(self):
-        source = "p :- a, b.\n:- a, -c.\n"
-        program = parse_program(source)
-        assert ground_program(program) == canonicalize(program)
+        # statements keep their order; only compiling and printing sort them
+        program = parse_program("q :- b, a.\np :- a.\n:- a, -c.\n")
+        assert ground_program(program) == program
 
     def test_idempotence(self):
         program = parse_program(

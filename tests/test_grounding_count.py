@@ -5,12 +5,14 @@ reference: it builds every statement in full and only then compares the
 running output length with `max_rules`. It also refuses a ground choice
 whose alternatives are all one literal, as `ground_program` does.
 `ground_program` reads each statement's size from its shape before building
-it, so at every limit it must return the same program or raise the same
-error (type and message) as the reference.
+it, so at every limit it must return the same domain and statements
+(duplicates included, in any order) or raise the same error (type and
+message) as the reference.
 """
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 from igate.dsl import (
@@ -25,7 +27,7 @@ from igate.dsl import (
     Program,
     Rule,
     Term,
-    canonicalize,
+    canonicalize_statement,
     parse_program,
 )
 from igate.errors import GroundingError
@@ -187,7 +189,7 @@ def reference_statements(program, max_rules=MAX_GROUND_RULES):
 
 def reference_ground_program(program, max_rules=MAX_GROUND_RULES):
     out = reference_statements(program, max_rules)
-    return canonicalize(Program(tuple(out), program.domain))
+    return Program(tuple(out), program.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +197,17 @@ def reference_ground_program(program, max_rules=MAX_GROUND_RULES):
 # ---------------------------------------------------------------------------
 
 def outcome(ground, program, max_rules):
+    """The domain and the multiset of canonical statements, or the error.
+
+    `ground_program` promises no statement order, so only order is left
+    free: every statement, duplicates included, must match.
+    """
     try:
-        return ("ok", ground(program, max_rules))
+        grounded = ground(program, max_rules)
     except GroundingError as exc:
         return ("error", type(exc), str(exc))
+    statements = Counter(canonicalize_statement(s) for s in grounded.statements)
+    return ("ok", grounded.domain, statements)
 
 
 def emitted_before_error(program):

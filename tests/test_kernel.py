@@ -122,7 +122,7 @@ def sweep_enumerate_models(circuit, max_choice_bits, scorers, inputs):
 
 def recompiled_worlds(program):
     """Weighted worlds by compiling each world's enabled statements anew."""
-    program = ground_program(program)
+    program = canonicalize(ground_program(program))
     deterministic, annotated = _split_statements(program)
     worlds = []
     for bits in itertools.product((False, True), repeat=len(annotated)):
