@@ -259,6 +259,8 @@ def _cmd_vec(args, out) -> int:
 
 
 def _cmd_learn(args, out) -> int:
+    if args.top_k < 0:
+        raise _UsageError(f"--top-k must be non-negative, got {args.top_k}")
     episodes = learn.load_episodes_jsonl(_read_file(args.episodes))
     stats = learn.count_associations(episodes)
     proposals = learn.propose_rules(

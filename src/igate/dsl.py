@@ -539,11 +539,17 @@ def _statement_sort_key(stmt: Statement) -> tuple:
 
 
 def canonicalize(program: Program) -> Program:
-    """Sorted, deduplicated form with normalized literal order per statement."""
+    """Sorted form with normalized literal order per statement. Identical
+    unweighted statements merge; every weighted one stays, since each
+    annotated statement owns a switch of its own."""
     seen: dict[Statement, None] = {}
-    for stmt in program.statements:
-        seen.setdefault(canonicalize_statement(stmt), None)
-    ordered = tuple(sorted(seen, key=_statement_sort_key))
+    weighted = []
+    for stmt in map(canonicalize_statement, program.statements):
+        if isinstance(stmt, Rule) and stmt.probability is not None:
+            weighted.append(stmt)
+        else:
+            seen.setdefault(stmt, None)
+    ordered = tuple(sorted([*seen, *weighted], key=_statement_sort_key))
     return Program(ordered, program.domain)
 
 

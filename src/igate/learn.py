@@ -5,15 +5,25 @@ strongly positive pairs are proposed as compound concepts (conjunctive
 comprehension rules), strongly negative pairs whose context vectors align
 are proposed as generalizations (disjunctive rules). Applying a proposal
 adds one rule, hence one topological connection in the compiled circuit.
+
+All counts are one matrix C = XᵀX, for X the episode × atom 0/1 incidence
+matrix: C[a, b] is the joint count of a pair, C[a, a] the count of an atom.
+With J = C less its diagonal, row a of J is a's context, and G = J·J holds
+every context dot product at once: G[a, b] has no a or b term, since
+J[a, a] = J[b, b] = 0, and a's context without b has norm
+sqrt(G[a, a] - J[a, b]²). Integer sums are exact in floats. PMI stays on
+`math.log2` over Python ints: `np.log2` differs from it in the last bit on
+some count ratios, which would change printed scores and near-tie order.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,65 +50,73 @@ def dump_episodes_jsonl(episodes: Iterable[Episode]) -> str:
     return "\n".join(json.dumps(sorted(ep)) for ep in episodes) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationStats:
-    """Exact unigram/pair counts plus derived association measures."""
+    """Exact counts as the int64 co-occurrence matrix C over the sorted
+    atoms, plus derived association measures."""
 
     n_episodes: int
-    unigrams: Mapping[str, int]
-    pairs: Mapping[tuple[str, str], int]  # keys sorted, a < b
+    atoms: tuple[str, ...]
+    cooccurrence: np.ndarray
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {atom: i for i, atom in enumerate(self.atoms)}
 
     @property
-    def atoms(self) -> tuple[str, ...]:
-        return tuple(sorted(self.unigrams))
+    def pairs(self) -> Mapping[tuple[str, str], int]:
+        """The co-occurring pairs (a, b), a < b, and their joint counts."""
+        rows, cols = np.nonzero(np.triu(self.cooccurrence, 1))
+        keys = [(self.atoms[i], self.atoms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+        return MappingProxyType(dict(zip(keys, self.cooccurrence[rows, cols].tolist())))
 
     def count(self, atom: str) -> int:
-        return self.unigrams.get(atom, 0)
+        i = self._index.get(atom)
+        return 0 if i is None else int(self.cooccurrence[i, i])
 
-    def pair_count(self, a: str, b: str) -> int:
-        return self.pairs.get(tuple(sorted((a, b))), 0)
+    def pair_count(self, a: str, b: str) -> int:  # 0 when a == b
+        i, j = self._index.get(a), self._index.get(b)
+        return 0 if i is None or j is None or i == j else int(self.cooccurrence[i, j])
 
     def pmi(self, a: str, b: str) -> float | None:
         """PMI in bits; None when undefined (zero joint or zero marginal)."""
         joint = self.pair_count(a, b)
-        if joint == 0 or self.count(a) == 0 or self.count(b) == 0:
-            return None
-        return math.log2(
-            self.n_episodes * joint / (self.count(a) * self.count(b))
-        )
-
-    def context_vector(self, atom: str, exclude: Iterable[str] = ()) -> np.ndarray:
-        skip = set(exclude) | {atom}
-        return np.array(
-            [self.pair_count(atom, other) for other in self.atoms if other not in skip],
-            dtype=float,
-        )
+        if joint:
+            return math.log2(self.n_episodes * joint / (self.count(a) * self.count(b)))
+        return None
 
     def context_cosine(self, a: str, b: str) -> float:
         """Cosine similarity of co-occurrence contexts, each excluding the
         other atom; 0 when either context is empty."""
-        va = self.context_vector(a, exclude=(b,))
-        vb = self.context_vector(b, exclude=(a,))
-        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-        if na == 0.0 or nb == 0.0:
+        if a not in self._index or b not in self._index:
             return 0.0
-        return float(np.dot(va, vb) / (na * nb))
+        i, j = self._index[a], self._index[b]
+        rows = self.cooccurrence[[i, j]].astype(float)  # rows i and j of J
+        rows[0, i] = rows[1, j] = 0.0
+        return float(_cosines(rows @ rows.T, 0, 1, rows[0, j]))
+
+
+def _cosines(gram: np.ndarray, ia, ib, joint) -> np.ndarray:
+    """Context cosines of the pairs (ia, ib) from the Gram matrix of their
+    context rows; `joint` is the entry each context drops for the other."""
+    cut = joint * joint
+    norms = np.sqrt(gram[ia, ia] - cut) * np.sqrt(gram[ib, ib] - cut)
+    return np.divide(gram[ia, ib], norms, out=np.zeros_like(norms), where=norms != 0)
 
 
 def count_associations(episodes: Sequence[Episode]) -> AssociationStats:
-    """Exact unigram and pairwise joint counts over the episodes."""
+    """Exact atom and pairwise joint counts over the episodes."""
     if not episodes:
         raise ValueError("need at least one episode")
-    unigrams: dict[str, int] = {}
-    pairs: dict[tuple[str, str], int] = {}
-    for episode in episodes:
-        if not episode:
-            raise ValueError("episodes must be non-empty")
-        for atom in episode:
-            unigrams[atom] = unigrams.get(atom, 0) + 1
-        for a, b in itertools.combinations(sorted(episode), 2):
-            pairs[(a, b)] = pairs.get((a, b), 0) + 1
-    return AssociationStats(len(episodes), unigrams, pairs)
+    if not all(episodes):
+        raise ValueError("episodes must be non-empty")
+    atoms = tuple(sorted(set().union(*episodes)))
+    index = {atom: i for i, atom in enumerate(atoms)}
+    incidence = np.zeros((len(episodes), len(atoms)))
+    rows = np.repeat(np.arange(len(episodes)), [len(ep) for ep in episodes])
+    incidence[rows, [index[atom] for ep in episodes for atom in ep]] = 1.0
+    counts = incidence.T @ incidence  # exact while counts stay below 2**53
+    return AssociationStats(len(episodes), atoms, counts.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -136,21 +154,13 @@ def _fresh_name(prefix: str, atoms: Sequence[str]) -> str:
     return "_".join([prefix, *parts])
 
 
-def _comprehension_rule(a: str, b: str, with_dual: bool) -> tuple[Rule, Rule | None]:
+def _proposed_rules(kind: str, a: str, b: str, with_dual: bool) -> tuple[Rule, Rule | None]:
     body = (atom_literal(a), atom_literal(b))
+    if kind == "generalization":
+        return Rule((Literal(_fresh_name("g", (a, b))),), body, SINGLE, OR), None
     head = Literal(_fresh_name("m", (a, b)))
-    rule = Rule((head,), body, SINGLE, AND)
     dual = Rule(body, (head,), AND, SINGLE) if with_dual else None
-    return rule, dual
-
-
-def _generalization_rule(a: str, b: str) -> Rule:
-    return Rule(
-        (Literal(_fresh_name("g", (a, b))),),
-        (atom_literal(a), atom_literal(b)),
-        SINGLE,
-        OR,
-    )
+    return Rule((head,), body, SINGLE, AND), dual
 
 
 def propose_rules(
@@ -170,54 +180,43 @@ def propose_rules(
     PMI <= theta_neg (a joint count of zero counts as unboundedly negative),
     both marginals >= min_support, and context cosine >= theta_ctx become
     "g_a_b :- a; b.". The combined list is sorted by |PMI| descending, ties
-    broken by head name.
+    broken by head name. Each pass tests all pairs at once with array masks.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    counts = stats.cooccurrence
+    # Row-major order over the upper triangle is itertools.combinations order.
+    ia, ib = np.triu_indices(len(stats.atoms), 1)
+    joint, count_a, count_b = counts[ia, ib], counts[ia, ia], counts[ib, ib]
+    supported = (count_a >= min_support) & (count_b >= min_support)
+    defined = supported & (joint > 0)
+    pmi = np.full(len(joint), -math.inf)  # the score of pairs that never co-occur
+    pmi[defined] = [
+        math.log2(stats.n_episodes * j / (x * y))
+        for j, x, y in zip(*(v[defined].tolist() for v in (joint, count_a, count_b)))
+    ]
+
+    compounds = np.flatnonzero(defined & (joint >= min_support) & (pmi >= theta_pos))
+    compounds = compounds[np.argsort(-pmi[compounds], kind="stable")][:k]
+    general = np.flatnonzero(supported & ~(pmi > theta_neg))
+    contexts = counts.astype(float)  # J
+    np.fill_diagonal(contexts, 0.0)
+    pa, pb = ia[general], ib[general]
+    cosines = _cosines(contexts @ contexts, pa, pb, contexts[pa, pb])
+    keep = ~(cosines < theta_ctx)  # negated tests, so a NaN threshold passes all
+    general, cosines = general[keep], cosines[keep]
+
     proposals: list[RuleProposal] = []
-
-    scored = []
-    for (a, b), joint in stats.pairs.items():
-        pmi = stats.pmi(a, b)
-        if pmi is not None and pmi >= theta_pos and joint >= min_support:
-            scored.append((pmi, a, b, joint))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    for pmi, a, b, joint in scored[:k]:
-        rule, dual = _comprehension_rule(a, b, include_duals)
-        proposals.append(
-            RuleProposal(
-                rule,
-                "comprehension",
-                pmi,
-                Evidence(a, b, stats.count(a), stats.count(b), joint, pmi, None),
-                dual,
-            )
-        )
-
-    for a, b in itertools.combinations(stats.atoms, 2):
-        if stats.count(a) < min_support or stats.count(b) < min_support:
-            continue
-        pmi = stats.pmi(a, b)
-        effective = -math.inf if stats.pair_count(a, b) == 0 else pmi
-        if effective is None or effective > theta_neg:
-            continue
-        cosine = stats.context_cosine(a, b)
-        if cosine < theta_ctx:
-            continue
-        proposals.append(
-            RuleProposal(
-                _generalization_rule(a, b),
-                "generalization",
-                effective,
-                Evidence(
-                    a,
-                    b,
-                    stats.count(a),
-                    stats.count(b),
-                    stats.pair_count(a, b),
-                    pmi,
-                    cosine,
-                ),
-            )
-        )
+    for kind, picked, picked_cosines in (
+        ("comprehension", compounds, [None] * len(compounds)),
+        ("generalization", general, cosines.tolist()),
+    ):
+        columns = (v[picked].tolist() for v in (ia, ib, count_a, count_b, joint, pmi))
+        for i, j, x, y, both, score, cosine in zip(*columns, picked_cosines):
+            a, b = stats.atoms[i], stats.atoms[j]
+            rule, dual = _proposed_rules(kind, a, b, include_duals)
+            evidence = Evidence(a, b, x, y, both, score if both else None, cosine)
+            proposals.append(RuleProposal(rule, kind, score, evidence, dual))
 
     proposals.sort(key=lambda p: (-abs(p.score), p.rule.head[0].predicate))
     return proposals

@@ -334,3 +334,17 @@ def test_regression_choice_guard_fires_before_the_search(tmp_path, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     assert elapsed < 0.5, f"ig models refused in {elapsed:.3f}s"
     print("[acceptance] regression (choice guard, 40 binary choices): PASS")
+
+
+def test_regression_learner_scales_with_the_count_matrix():
+    # 200 atoms give 19,900 pairs; a learner that reads counts and builds
+    # context vectors one pair at a time takes seconds here.
+    rng = random.Random(200)
+    atoms = [f"a{i:03d}" for i in range(200)]
+    episodes = [frozenset(rng.sample(atoms, 6)) for _ in range(2000)]
+    start = time.perf_counter()
+    proposals = propose_rules(count_associations(episodes), min_support=1)
+    elapsed = time.perf_counter() - start
+    assert proposals
+    assert elapsed < 0.5, f"learner on 200 atoms took {elapsed:.3f}s"
+    print("[acceptance] regression (learner, 200 atoms, 2000 episodes): PASS")

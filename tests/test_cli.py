@@ -257,6 +257,14 @@ class TestSubcommands:
         assert code == 0
         jsonschema.validate(json.loads(out), schema("evidence.schema.json"))
 
+    def test_learn_rejects_a_negative_top_k(self, tmp_path):
+        # A usage error, not a slice that drops the lowest-ranked comprehensions.
+        episodes = generate_planted_episodes(n_episodes=400, seed=7)
+        ep_path = write(tmp_path, "eps.jsonl", dump_episodes_jsonl(episodes))
+        assert dispatch(["learn", ep_path, "--top-k=-1"]) == (1, "")
+        code, out = dispatch(["learn", ep_path, "--top-k=0"])
+        assert code == 0 and out and " :- " in out and ", " not in out
+
 
 class TestGuardOverrides:
     def test_max_choices_flag(self, tmp_path):

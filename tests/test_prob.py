@@ -9,6 +9,7 @@ from igate.dsl import (
     AND,
     OR,
     Constraint,
+    Program,
     atom_literal,
     format_program,
     parse_literal,
@@ -133,14 +134,31 @@ class TestQueries:
             0.15, abs=1e-12
         )
 
+    def test_identical_weighted_statements_keep_their_own_switches(self):
+        program = parse_program("0.3 :: a.\n0.3 :: a.")
+        assert naive_query(program, parse_literal("a")) == pytest.approx(0.51)
+        assert query_prob(program, parse_literal("a")) == pytest.approx(
+            naive_query(program, parse_literal("a")), abs=1e-12
+        )
+        assert format_program(program) == "0.3 :: a.\n0.3 :: a.\n"
+
     def test_weighted_statements_agree_with_naive_oracle(self):
         rng = random.Random(32)
+        # A second stream repeats a weighted statement in some programs, so
+        # the programs drawn from `rng` stay the same.
+        repeat = random.Random(33)
         seen = dict.fromkeys(
             ("and body", "or body", "negative body", "conjunctive head",
-             "constraint", "negative query", "given"), 0
+             "constraint", "negative query", "given", "repeated weighted"), 0
         )
         for _ in range(400):
             program = random_weighted_program(rng)
+            weighted = [
+                s for s in program.statements if getattr(s, "probability", None) is not None
+            ]
+            if weighted and repeat.random() < 0.3:
+                program = Program(program.statements + (repeat.choice(weighted),))
+                seen["repeated weighted"] += 1
             for stmt in program.statements:
                 if isinstance(stmt, Constraint):
                     seen["constraint"] += 1
