@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -261,6 +262,9 @@ def _cmd_vec(args, out) -> int:
 def _cmd_learn(args, out) -> int:
     if args.top_k < 0:
         raise _UsageError(f"--top-k must be non-negative, got {args.top_k}")
+    for flag in ("theta_pos", "theta_neg", "theta_ctx"):
+        if math.isnan(getattr(args, flag)):
+            raise _UsageError(f"--{flag.replace('_', '-')} must be a number, got nan")
     episodes = learn.load_episodes_jsonl(_read_file(args.episodes))
     stats = learn.count_associations(episodes)
     proposals = learn.propose_rules(

@@ -225,8 +225,9 @@ def model_of(
     )
 
 
-def _branch_count(gen: Generator) -> int:
-    if gen.scorer_id is not None:
+def _branch_count(gen: Generator, scorers: Mapping[str, Scorer]) -> int:
+    """Branches the model search opens at `gen`; a scored one opens none."""
+    if gen.scorer_id is not None and gen.scorer_id in scorers:
         return 1
     if gen.cardinality == EXACTLY_ONE:
         return len(gen.alternatives)
@@ -254,7 +255,8 @@ def enumerate_models(
     order; contradictory branches are pruned as soon as both channels of an
     atom are active. The result is deduplicated by atom values and sorted.
     """
-    bits = sum(math.log2(_branch_count(gen)) for gen in circuit.generators)
+    scorers = scorers or {}
+    bits = sum(math.log2(_branch_count(gen, scorers)) for gen in circuit.generators)
     if bits > max_choice_bits:
         raise GuardError(
             f"model search needs {bits:.1f} binary choice points"
@@ -262,7 +264,6 @@ def enumerate_models(
             f" IG_MAX_CHOICES to override"
         )
 
-    scorers = scorers or {}
     atoms = circuit.atoms()
     found: dict[tuple[tuple[str, bool], ...], Model] = {}
 

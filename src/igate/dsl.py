@@ -18,6 +18,11 @@ Constants start lowercase, variables uppercase; predicate arity is capped
 at 2. "#entity" lines populate Program.domain rather than appearing as
 statements. A probability annotation ("0.3 :: ...") is only meaningful on
 rules and facts.
+
+Tokens carry their offset into the source, which is read in one regex
+pass. A ParseError's line and column are derived from that offset when the
+error is raised. A leading UTF-8 byte-order mark is dropped first, so it
+takes no column.
 """
 
 from __future__ import annotations
@@ -212,14 +217,8 @@ class Program:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
+# Every character starts a match (the last group takes any character no
+# token starts with, "\n" is whitespace), so finditer leaves no gaps.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -231,42 +230,38 @@ _TOKEN_RE = re.compile(
   | (?P<implies>:-)
   | (?P<annot>::)
   | (?P<punct>[(),;^{}.\-])
+  | (?P<unexpected>.)
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    pos = 1 if text.startswith("﻿") else 0  # tolerate a UTF-8 BOM
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup or ""
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the 1-based line and column of `offset` in `text`."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)  # rfind is -1 on line 1
+    return ParseError(message, line, column)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, ending with an eof token at len(text)."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        elif kind == "comment":
-            pass
-        elif kind == "ident" and value == "not":
-            raise ParseError(
+        if kind == "unexpected":
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        if kind == "ident" and value == "not":
+            raise _error(
+                text,
+                m.start(),
                 "negation as failure ('not') is not supported; circuits only"
                 " realize strong negation, written '-'",
-                line,
-                col,
             )
-        else:
-            tokens.append(_Token(kind, value, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        tokens.append((kind, value, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -275,40 +270,39 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of `text`. The index never passes
+    the eof token: a token is consumed only after it has been matched."""
+
+    def __init__(self, text: str):
+        self.text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
+        self.tokens = _tokenize(self.text)
         self.pos = 0
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[self.pos + ahead]
 
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
+    def advance(self) -> tuple[str, str, int]:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            want = text if text is not None else kind
+            raise self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}")
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.advance()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        """A ParseError at `offset`, by default at the next token."""
+        return _error(self.text, self.peek()[2] if offset is None else offset, message)
 
     # -- grammar ------------------------------------------------------------
 
     def program(self) -> Program:
         statements: list[Statement] = []
         domain: set[str] = set()
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             stmt = self.statement(domain)
             if stmt is not None:
                 statements.append(stmt)
@@ -318,71 +312,57 @@ class _Parser:
 
     def statement(self, domain: set[str]) -> Statement | None:
         probability: float | None = None
-        tok = self.peek()
-        if tok.kind == "number" and self.peek(1).kind == "annot":
-            probability = float(self.advance().text)
+        kind, _, offset = self.peek()
+        if kind == "number" and self.peek(1)[0] == "annot":
+            probability = float(self.advance()[1])
             self.advance()
             if not 0.0 <= probability <= 1.0:
-                raise ParseError(
-                    f"probability {probability} outside [0, 1]", tok.line, tok.column
-                )
-            tok = self.peek()
-
-        if tok.kind == "directive":
-            if probability is not None:
+                raise self.error(f"probability {probability} outside [0, 1]", offset)
+            kind = self.peek()[0]
+            if kind in ("directive", "number", "implies"):
                 raise self.error("probability annotations apply to rules only")
+
+        if kind == "directive":
             self.domain_decl(domain)
             return None
-        if tok.kind == "number":
-            if probability is not None:
-                raise self.error("probability annotations apply to rules only")
+        if kind == "number":
             return self.choice()
-        if tok.kind == "implies":
-            if probability is not None:
-                raise self.error("probability annotations apply to rules only")
+        if kind == "implies":
             return self.constraint()
         return self.rule(probability)
 
     def domain_decl(self, domain: set[str]) -> None:
-        tok = self.expect("directive")
-        if tok.text != "#entity":
-            raise ParseError(f"unknown directive {tok.text!r}", tok.line, tok.column)
-        domain.add(self.expect("ident").text)
-        while self.peek().text == ",":
+        _, directive, offset = self.expect("directive")
+        if directive != "#entity":
+            raise self.error(f"unknown directive {directive!r}", offset)
+        domain.add(self.expect("ident")[1])
+        while self.peek()[1] == ",":
             self.advance()
-            domain.add(self.expect("ident").text)
+            domain.add(self.expect("ident")[1])
         self.expect("punct", ".")
 
     def choice(self) -> Choice:
-        tok = self.expect("number")
-        if tok.text != "1":
-            raise ParseError(
-                "only exactly-one choices are supported (write 1{...}1)",
-                tok.line,
-                tok.column,
+        _, opener, offset = self.expect("number")
+        if opener != "1":
+            raise self.error(
+                "only exactly-one choices are supported (write 1{...}1)", offset
             )
         self.expect("punct", "{")
         literals = [self.literal()]
-        while self.peek().text == ";":
+        while self.peek()[1] == ";":
             self.advance()
             literals.append(self.literal())
         self.expect("punct", "}")
-        closer = self.expect("number")
-        if closer.text != "1":
-            raise ParseError(
-                "only exactly-one choices are supported (write 1{...}1)",
-                closer.line,
-                closer.column,
+        _, closer, closer_offset = self.expect("number")
+        if closer != "1":
+            raise self.error(
+                "only exactly-one choices are supported (write 1{...}1)", closer_offset
             )
         self.expect("punct", ".")
         if len(literals) < 2:
-            raise ParseError(
-                "a choice needs at least two alternatives", tok.line, tok.column
-            )
+            raise self.error("a choice needs at least two alternatives", offset)
         if len(set(literals)) != len(literals):
-            raise ParseError(
-                "choice alternatives must be distinct", tok.line, tok.column
-            )
+            raise self.error("choice alternatives must be distinct", offset)
         return Choice(tuple(literals))
 
     def constraint(self) -> Constraint:
@@ -395,7 +375,7 @@ class _Parser:
         head, head_conn = self.literal_list(allow=(AND, OR, XOR))
         body: list[Literal] = []
         body_conn = AND
-        if self.peek().kind == "implies":
+        if self.peek()[0] == "implies":
             self.advance()
             body, body_conn = self.literal_list(allow=(AND, OR))
         self.expect("punct", ".")
@@ -410,53 +390,45 @@ class _Parser:
     def literal_list(self, allow: tuple[str, ...]) -> tuple[list[Literal], str]:
         literals = [self.literal()]
         connective: str | None = None
-        while self.peek().text in (",", ";", "^"):
-            tok = self.advance()
-            conn = _SYMBOL_CONNECTIVE[tok.text]
+        while self.peek()[1] in _SYMBOL_CONNECTIVE:
+            _, symbol, offset = self.advance()
+            conn = _SYMBOL_CONNECTIVE[symbol]
             if conn not in allow:
-                raise ParseError(
-                    f"connective {tok.text!r} is not allowed here", tok.line, tok.column
-                )
+                raise self.error(f"connective {symbol!r} is not allowed here", offset)
             if connective is None:
                 connective = conn
             elif connective != conn:
-                raise ParseError(
-                    "mixed connectives in one head or body; split the rule",
-                    tok.line,
-                    tok.column,
+                raise self.error(
+                    "mixed connectives in one head or body; split the rule", offset
                 )
             literals.append(self.literal())
         # a list without separators has one literal; Rule marks it 'single'
         return literals, connective or AND
 
     def literal(self) -> Literal:
-        negative = False
-        if self.peek().text == "-":
+        negative = self.peek()[1] == "-"
+        if negative:
             self.advance()
-            negative = True
-        name = self.expect("ident")
+        _, name, offset = self.expect("ident")
         args: list[Term] = []
-        if self.peek().text == "(":
+        if self.peek()[1] == "(":
             self.advance()
             args.append(self.term())
-            while self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.advance()
                 args.append(self.term())
             self.expect("punct", ")")
         if len(args) > 2:
-            raise ParseError(
-                f"predicate {name.text!r} has arity {len(args)}; arity is capped at 2",
-                name.line,
-                name.column,
-            )
-        return Literal(name.text, tuple(args), negative)
+            message = f"predicate {name!r} has arity {len(args)}; arity is capped at 2"
+            raise self.error(message, offset)
+        return Literal(name, tuple(args), negative)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind in ("ident", "var"):
-            self.advance()
-            return Term(tok.text)
-        raise self.error("expected a constant or variable")
+        kind, name, _ = self.peek()
+        if kind != "ident" and kind != "var":
+            raise self.error("expected a constant or variable")
+        self.advance()
+        return Term(name)
 
 
 def _check_declared_constants(program: Program) -> None:
@@ -488,16 +460,16 @@ def parse_program(text: str) -> Program:
 
     Raises ParseError with line/column on the first offending token.
     """
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()
 
 
 def parse_literal(text: str) -> Literal:
     """Parse a single literal such as "-p(c1, X)"."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     lit = parser.literal()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after literal: {tok.text!r}", tok.line, tok.column)
+    kind, rest, _ = parser.peek()
+    if kind != "eof":
+        raise parser.error(f"trailing input after literal: {rest!r}")
     return lit
 
 

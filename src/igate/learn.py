@@ -154,8 +154,9 @@ def _fresh_name(prefix: str, atoms: Sequence[str]) -> str:
     return "_".join([prefix, *parts])
 
 
-def _proposed_rules(kind: str, a: str, b: str, with_dual: bool) -> tuple[Rule, Rule | None]:
-    body = (atom_literal(a), atom_literal(b))
+def _proposed_rules(
+    kind: str, a: str, b: str, body: tuple[Literal, Literal], with_dual: bool
+) -> tuple[Rule, Rule | None]:
     if kind == "generalization":
         return Rule((Literal(_fresh_name("g", (a, b))),), body, SINGLE, OR), None
     head = Literal(_fresh_name("m", (a, b)))
@@ -206,6 +207,10 @@ def propose_rules(
     keep = ~(cosines < theta_ctx)  # negated tests, so a NaN threshold passes all
     general, cosines = general[keep], cosines[keep]
 
+    # Each atom of a proposed pair is parsed once, however many pairs it is in.
+    pairs = np.concatenate((compounds, general))
+    used = set(ia[pairs].tolist() + ib[pairs].tolist())
+    literal = {n: atom_literal(stats.atoms[n]) for n in used}
     proposals: list[RuleProposal] = []
     for kind, picked, picked_cosines in (
         ("comprehension", compounds, [None] * len(compounds)),
@@ -214,7 +219,8 @@ def propose_rules(
         columns = (v[picked].tolist() for v in (ia, ib, count_a, count_b, joint, pmi))
         for i, j, x, y, both, score, cosine in zip(*columns, picked_cosines):
             a, b = stats.atoms[i], stats.atoms[j]
-            rule, dual = _proposed_rules(kind, a, b, include_duals)
+            body = (literal[i], literal[j])
+            rule, dual = _proposed_rules(kind, a, b, body, include_duals)
             evidence = Evidence(a, b, x, y, both, score if both else None, cosine)
             proposals.append(RuleProposal(rule, kind, score, evidence, dual))
 

@@ -265,6 +265,17 @@ class TestSubcommands:
         code, out = dispatch(["learn", ep_path, "--top-k=0"])
         assert code == 0 and out and " :- " in out and ", " not in out
 
+    @pytest.mark.parametrize("flag", ["--theta-pos", "--theta-neg", "--theta-ctx"])
+    def test_learn_rejects_a_nan_threshold(self, tmp_path, flag):
+        # NaN fails every comparison, so each threshold test would pass or drop
+        # pairs depending on how it is written; an infinite bound stays valid.
+        episodes = generate_planted_episodes(n_episodes=400, seed=7)
+        ep_path = write(tmp_path, "eps.jsonl", dump_episodes_jsonl(episodes))
+        code, out, err = run(["learn", ep_path, f"{flag}=nan"])
+        assert (code, out) == (1, "") and flag in err
+        code, out = dispatch(["learn", ep_path, f"{flag}=inf"])
+        assert code == 0
+
 
 class TestGuardOverrides:
     def test_max_choices_flag(self, tmp_path):

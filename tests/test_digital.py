@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from igate import digital
 from igate.circuit import classicalize, compile_program
 from igate.digital import (
     Model,
@@ -129,6 +130,23 @@ class TestEnumerate:
         with pytest.raises(GuardError):
             enumerate_models(small, max_choice_bits=1)
         assert len(enumerate_models(small, max_choice_bits=2)) == 4
+
+    def test_choice_guard_counts_a_scored_generator_without_its_scorer(
+        self, monkeypatch
+    ):
+        # With no scorer given, the search branches over all three heads of
+        # each of the 12 generators: 12 * log2(3) = 19.0 bits, refused
+        # before the kernel runs.
+        source = " ".join(f"p{i} ^ q{i} ^ r{i} :- a." for i in range(12)) + " a."
+        circuit = compile_program(parse_program(source), xor_scorer="s")
+        with monkeypatch.context() as patch:
+            patch.setattr(digital, "_fixpoint", None)  # any call would fail
+            with pytest.raises(GuardError, match="19.0 binary choice points"):
+                enumerate_models(circuit, max_choice_bits=3)
+        (model,) = enumerate_models(
+            circuit, max_choice_bits=3, scorers={"s": lambda alt: 0.0}
+        )
+        assert model.value("p0") is True and model.value("q0") is None
 
     def test_provenance_reproduces_the_model(self):
         circuit = compiled(REFERENCE)

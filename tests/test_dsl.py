@@ -77,6 +77,13 @@ class TestParsing:
             parse_program("p :- a,\nb c.")
         assert info.value.line == 2
 
+    def test_byte_order_mark_takes_no_column(self):
+        for source in ("p :- .", "\ufeffp :- ."):
+            with pytest.raises(ParseError) as info:
+                parse_program(source)
+            assert (info.value.line, info.value.column) == (1, 6)
+        assert parse_program("\ufeffp.") == parse_program("p.")
+
     def test_choice(self):
         choice = single_rule("1{a; -a}1.")
         assert isinstance(choice, Choice)

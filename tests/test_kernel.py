@@ -90,7 +90,7 @@ def sweep_propagate(circuit, inputs=(), choices=None, scorers=None):
 
 def sweep_enumerate_models(circuit, max_choice_bits, scorers, inputs):
     """Model search that restarts every branch from the facts."""
-    bits = sum(math.log2(_branch_count(gen)) for gen in circuit.generators)
+    bits = sum(math.log2(_branch_count(gen, scorers)) for gen in circuit.generators)
     if bits > max_choice_bits:
         raise GuardError("too many choice points")
     atoms = circuit.atoms()
