@@ -24,7 +24,6 @@ from .dsl import (
     Rule,
     atom_literal,
     canonicalize,
-    canonicalize_statement,
 )
 from .errors import CircuitError
 
@@ -122,12 +121,12 @@ def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     """
     if not all(l.is_ground for l in constraint.body):
         raise CircuitError("constraint completion requires ground literals")
-    rules = []
-    for i, lit in enumerate(constraint.body):
-        rest = tuple(l for j, l in enumerate(constraint.body) if j != i)
-        rule = Rule((lit.negated(),), rest, body_connective=AND)
-        rules.append(canonicalize_statement(rule))
-    return tuple(sorted(set(rules), key=str))
+    ordered = sorted(constraint.body, key=Literal.sort_key)
+    rules = set()
+    for i, lit in enumerate(ordered):  # each rest, without repeats, is canonical
+        rest = tuple(dict.fromkeys(ordered[:i] + ordered[i + 1 :]))
+        rules.add(Rule((lit.negated(),), rest, body_connective=AND))
+    return tuple(sorted(rules, key=str))
 
 
 def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
@@ -197,15 +196,10 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
         else:
             statements.append(stmt)
 
-    channels: set[str] = set()
+    atoms = {lit.atom_name for stmt in statements for lit in stmt.literals()}
     gates: list[Gate] = []
     generators: list[Generator] = []
     facts: set[str] = set()
-
-    def declare(literals: Iterable[Literal]) -> None:
-        for lit in literals:
-            channels.add(lit.atom_name)
-            channels.add("-" + lit.atom_name)
 
     def add_generator(
         alternatives: tuple[frozenset[str], ...],
@@ -220,7 +214,6 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
         )
 
     for stmt in statements:
-        declare(stmt.literals())
         if isinstance(stmt, Choice):
             add_generator(
                 tuple(frozenset({l.channel}) for l in stmt.literals_),
@@ -260,7 +253,7 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
                 gates.append(gate)
 
     return Circuit(
-        channels=frozenset(channels),
+        channels=frozenset(atoms).union("-" + a for a in atoms),
         gates=tuple(gates),
         generators=tuple(generators),
         facts=frozenset(facts),

@@ -48,8 +48,10 @@ def _load_program(path: str) -> dsl.Program:
 def _max_choices(args) -> int:
     if args.max_choices is not None:
         return args.max_choices
-    env = os.environ.get("IG_MAX_CHOICES")
-    return int(env) if env else digital.MAX_CHOICE_BITS
+    env = os.environ.get("IG_MAX_CHOICES") or str(digital.MAX_CHOICE_BITS)
+    if not env.isdecimal():
+        raise _UsageError(f"IG_MAX_CHOICES must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _split_outside_parens(text: str) -> list[str]:
@@ -134,11 +136,12 @@ def _cmd_complete(args, out) -> int:
 
 
 def _cmd_models(args, out) -> int:
+    max_choices = _max_choices(args)
     program = grounding.ground_program(_load_program(args.file), args.max_ground)
     if args.classical:
         program = circuit_mod.classicalize(program)
     compiled = circuit_mod.compile_program(program)
-    models = digital.enumerate_models(compiled, _max_choices(args))
+    models = digital.enumerate_models(compiled, max_choices)
     for model in models:
         if args.json:
             print(json.dumps(model.as_dict(), sort_keys=True), file=out)
@@ -156,12 +159,10 @@ def _cmd_eval(args, out) -> int:
         if value not in ("true", "false") or not name:
             raise _UsageError(f"--set expects atom=true|false, got {part!r}")
         literal = dsl.parse_literal(name)
-        if literal.negative:
-            literal = literal.negated()
-            value = "true" if value == "false" else "false"
-        inputs.append(
-            literal.channel if value == "true" else literal.negated().channel
-        )
+        atom = literal.atom_name
+        if atom not in compiled.channels:
+            raise _UsageError(f"--set names an atom not in the program: {atom}")
+        inputs.append(atom if (value == "true") != literal.negative else "-" + atom)
     active = digital.propagate(compiled, inputs)
     for atom, value in sorted(digital.atom_values(compiled, active).items()):
         print(f"{atom}: {value}", file=out)
@@ -260,8 +261,6 @@ def _cmd_vec(args, out) -> int:
 
 
 def _cmd_learn(args, out) -> int:
-    if args.top_k < 0:
-        raise _UsageError(f"--top-k must be non-negative, got {args.top_k}")
     for flag in ("theta_pos", "theta_neg", "theta_ctx"):
         if math.isnan(getattr(args, flag)):
             raise _UsageError(f"--{flag.replace('_', '-')} must be a number, got nan")
@@ -420,6 +419,11 @@ def _dispatch(argv: Sequence[str], out, err) -> int:
         print("ig: a subcommand is required (see ig --help)", file=err)
         return 1
     try:
+        for flag in ("max_ground", "max_switches", "max_choices", "top_k"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                name = flag.replace("_", "-")
+                raise _UsageError(f"--{name} must be non-negative, got {value}")
         return args.func(args, out)
     except _UsageError as exc:
         print(f"ig: {exc}", file=err)

@@ -39,7 +39,7 @@ XOR = "xor"
 SINGLE = "single"
 EMPTY = "empty"
 
-_CONNECTIVE_SYMBOL = {AND: ", ", OR: "; ", XOR: " ^ "}
+_CONNECTIVE_SYMBOL = {AND: ", ", OR: "; ", XOR: " ^ ", SINGLE: "", EMPTY: ""}
 _SYMBOL_CONNECTIVE = {",": AND, ";": OR, "^": XOR}
 
 
@@ -61,30 +61,44 @@ class Term:
         return self.name
 
 
+class _once:
+    """A property computed on first read and then kept in the instance dict,
+    like functools.cached_property but without its lock, at half the cost."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.compute(obj))
+
+
 @dataclass(frozen=True)
 class Literal:
-    """A possibly negated atom with at most two arguments."""
+    """A possibly negated atom with at most two arguments. Its derived values
+    are computed on first use and kept, so a shared literal formats once."""
 
     predicate: str
     args: tuple[Term, ...] = ()
     negative: bool = False
 
     def negated(self) -> Literal:
-        return replace(self, negative=not self.negative)
+        return Literal(self.predicate, self.args, not self.negative)
 
-    @property
+    @_once
     def atom_name(self) -> str:
         """Canonical unsigned atom name, e.g. "p" or "has(x,y)"."""
         if not self.args:
             return self.predicate
         return f"{self.predicate}({','.join(t.name for t in self.args)})"
 
-    @property
+    @_once
     def channel(self) -> str:
         """Canonical signed channel id ("-" prefix marks the negative channel)."""
-        return ("-" if self.negative else "") + self.atom_name
+        return "-" + self.atom_name if self.negative else self.atom_name
 
-    @property
+    @_once
     def is_ground(self) -> bool:
         return not any(t.is_variable for t in self.args)
 
@@ -92,13 +106,24 @@ class Literal:
         return {t.name for t in self.args if t.is_variable}
 
     def sort_key(self) -> tuple:
+        return self._sort_key
+
+    @_once
+    def _sort_key(self) -> tuple:
         return (self.predicate, tuple(t.name for t in self.args), self.negative)
 
     def __str__(self) -> str:
+        return self._text
+
+    @_once
+    def _text(self) -> str:
         sign = "-" if self.negative else ""
         if not self.args:
             return sign + self.predicate
         return f"{sign}{self.predicate}({', '.join(t.name for t in self.args)})"
+
+    def __hash__(self) -> int:  # the sort key holds every field
+        return hash(self._sort_key)
 
 
 @dataclass(frozen=True)
@@ -142,14 +167,10 @@ class Rule:
 
     def __str__(self) -> str:
         prefix = "" if self.probability is None else f"{self.probability!r} :: "
-        head = _CONNECTIVE_SYMBOL.get(self.head_connective, ", ").join(
-            str(l) for l in self.head
-        )
+        head = _CONNECTIVE_SYMBOL[self.head_connective].join(map(str, self.head))
         if not self.body:
             return f"{prefix}{head}."
-        body = _CONNECTIVE_SYMBOL.get(self.body_connective, ", ").join(
-            str(l) for l in self.body
-        )
+        body = _CONNECTIVE_SYMBOL[self.body_connective].join(map(str, self.body))
         return f"{prefix}{head} :- {body}."
 
 
@@ -167,7 +188,7 @@ class Constraint:
         yield from self.body
 
     def __str__(self) -> str:
-        return f":- {', '.join(str(l) for l in self.body)}."
+        return f":- {', '.join(map(str, self.body))}."
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,7 @@ class Choice:
         yield from self.literals_
 
     def __str__(self) -> str:
-        return "1{" + "; ".join(str(l) for l in self.literals_) + "}1."
+        return "1{" + "; ".join(map(str, self.literals_)) + "}1."
 
 
 Statement = Rule | Constraint | Choice
@@ -277,6 +298,8 @@ class _Parser:
         self.text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
         self.tokens = _tokenize(self.text)
         self.pos = 0
+        self.constants: dict[str, int] = {}  # first offset of each constant
+        self.literals: dict[tuple, Literal] = {}  # one object per literal
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[self.pos + ahead]
@@ -306,9 +329,20 @@ class _Parser:
             stmt = self.statement(domain)
             if stmt is not None:
                 statements.append(stmt)
-        program = Program(tuple(statements), frozenset(domain))
-        _check_declared_constants(program)
-        return program
+        introduced = set(domain)
+        for stmt in statements:
+            if isinstance(stmt, Rule) and stmt.is_fact and not any(
+                t.is_variable for l in stmt.head for t in l.args
+            ):
+                introduced.update(t.name for l in stmt.head for t in l.args)
+        undeclared = sorted(self.constants.keys() - introduced)
+        if undeclared:
+            raise self.error(
+                "constants not declared with #entity and not introduced by a"
+                f" ground fact: {', '.join(undeclared)}",
+                min(self.constants[c] for c in undeclared),
+            )
+        return Program(tuple(statements), frozenset(domain))
 
     def statement(self, domain: set[str]) -> Statement | None:
         probability: float | None = None
@@ -410,7 +444,7 @@ class _Parser:
         if negative:
             self.advance()
         _, name, offset = self.expect("ident")
-        args: list[Term] = []
+        args: list[str] = []
         if self.peek()[1] == "(":
             self.advance()
             args.append(self.term())
@@ -421,38 +455,19 @@ class _Parser:
         if len(args) > 2:
             message = f"predicate {name!r} has arity {len(args)}; arity is capped at 2"
             raise self.error(message, offset)
-        return Literal(name, tuple(args), negative)
+        key = (name, tuple(args), negative)
+        if key not in self.literals:
+            self.literals[key] = Literal(name, tuple(map(Term, args)), negative)
+        return self.literals[key]
 
-    def term(self) -> Term:
-        kind, name, _ = self.peek()
-        if kind != "ident" and kind != "var":
+    def term(self) -> str:
+        kind, name, offset = self.peek()
+        if kind == "ident":
+            self.constants.setdefault(name, offset)
+        elif kind != "var":
             raise self.error("expected a constant or variable")
         self.advance()
-        return Term(name)
-
-
-def _check_declared_constants(program: Program) -> None:
-    """Every constant must be declared or introduced by a ground fact."""
-    introduced = set(program.domain)
-    for stmt in program.statements:
-        if isinstance(stmt, Rule) and stmt.is_fact and all(
-            l.is_ground for l in stmt.head
-        ):
-            for lit in stmt.head:
-                introduced.update(t.name for t in lit.args)
-    undeclared = sorted(
-        t.name
-        for stmt in program.statements
-        for lit in stmt.literals()
-        for t in lit.args
-        if not t.is_variable and t.name not in introduced
-    )
-    if undeclared:
-        names = ", ".join(dict.fromkeys(undeclared))
-        raise ParseError(
-            f"constants not declared with #entity and not introduced by a"
-            f" ground fact: {names}"
-        )
+        return name
 
 
 def parse_program(text: str) -> Program:

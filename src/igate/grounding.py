@@ -40,13 +40,17 @@ from .errors import GroundingError
 MAX_GROUND_RULES = 10_000
 
 
-def _substitute(lit: Literal, binding: Mapping[str, Term]) -> Literal:
+def _substitute(lit: Literal, binding: Mapping[str, str], atoms: dict) -> Literal:
+    """`lit` under `binding`, as the one object `atoms` keeps for it."""
     # binding keys are variable names, which no constant can equal
-    args = tuple(binding.get(t.name, t) for t in lit.args)
-    return Literal(lit.predicate, args, lit.negative)
+    names = tuple(binding.get(t.name, t.name) for t in lit.args)
+    key = (lit.predicate, names, lit.negative)  # as Literal.sort_key
+    if key not in atoms:
+        atoms[key] = Literal(lit.predicate, tuple(map(Term, names)), lit.negative)
+    return atoms[key]
 
 
-def _assignments(variables: list[str], constants: list[Term]) -> Iterator[dict[str, Term]]:
+def _assignments(variables: list[str], constants: list[str]) -> Iterator[dict[str, str]]:
     for combo in itertools.product(constants, repeat=len(variables)):
         yield dict(zip(variables, combo))
 
@@ -118,25 +122,24 @@ def _shape(stmt: Statement, variables: set[str], pool: list[str]) -> tuple[list[
 
 
 def _instances(
-    stmt: Statement, bound: list[str], split: bool, constants: list[Term]
+    stmt: Statement, bound: list[str], split: bool, constants: list[str], atoms: dict
 ) -> Iterator[Statement]:
     """The ground statements of `stmt`, one binding of `bound` at a time.
 
-    Every binding shares the one `Term` of each constant. Each literal is
-    expanded over its own open variables once, before the loop. A
-    single-literal head or body that widens becomes a disjunction, and so
-    does each conjunct of a split head.
+    Every literal comes from `atoms`. Each literal is expanded over its own
+    open variables once, before the loop. A single-literal head or body that
+    widens becomes a disjunction, and so does each conjunct of a split head.
     """
     closed = set(bound)
 
     def expand(lit: Literal) -> list[Literal]:
         return [
-            _substitute(lit, a)
+            _substitute(lit, a, atoms)
             for a in _assignments(sorted(lit.variables() - closed), constants)
         ]
 
-    def fill(literals: list[Literal], binding: dict[str, Term]) -> tuple[Literal, ...]:
-        return tuple(dict.fromkeys(_substitute(l, binding) for l in literals))
+    def fill(literals: list[Literal], binding: dict[str, str]) -> tuple[Literal, ...]:
+        return tuple(dict.fromkeys(_substitute(l, binding, atoms) for l in literals))
 
     if not isinstance(stmt, Rule):
         literals = list(stmt.literals())
@@ -164,6 +167,8 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
 
     Statements come out in source order, each expanded one binding after
     another, with duplicates kept; a ground statement passes through as is.
+    Built statements take their literals from one table per call that starts
+    from the input's own ground literals, so no ground literal is built twice.
 
     Instantiation ranges over the declared domain plus any constants
     introduced by ground facts. Raises GroundingError when a variable has no
@@ -177,8 +182,8 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
             for lit in stmt.head:
                 constants.update(t.name for t in lit.args if not t.is_variable)
     pool = sorted(constants)
-    terms = [Term(c) for c in pool]
 
+    atoms = None  # built at the first expansion, so a refusal never pays for it
     out: list[Statement] = []
     for stmt in program.statements:
         variables = {t.name for lit in stmt.literals() for t in lit.args if t.is_variable}
@@ -194,5 +199,8 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
                 f"grounding produced more than {max_rules} statements; raise"
                 f" the limit (max_rules / --max-ground) to override"
             )
-        out.extend(_instances(stmt, bound, split, terms) if variables else (stmt,))
+        if variables and atoms is None:  # the input's ground literals are kept
+            ground = (l for s in program.statements for l in s.literals() if l.is_ground)
+            atoms = {l.sort_key(): l for l in ground}
+        out.extend(_instances(stmt, bound, split, pool, atoms) if variables else (stmt,))
     return Program(tuple(out), program.domain)

@@ -136,6 +136,13 @@ class TestSubcommands:
         code, out = dispatch(["eval", path, "--set", "a=false"])
         assert "a: false" in out
 
+    def test_eval_set_names_an_atom_not_in_the_program(self, tmp_path):
+        path = write(tmp_path, "p.ig", "p :- a, b.")
+        for value in ("zz=true", "a=true,-zz(k1, k2)=false"):
+            code, out, err = run(["eval", path, "--set", value])
+            assert (code, out) == (1, "")
+            assert err.startswith("ig: --set names an atom not in the program: zz")
+
     def test_eval_unresolved_generator(self, tmp_path):
         path = write(tmp_path, "p.ig", "a. p; q :- a.")
         code, _ = dispatch(["eval", path])
@@ -299,6 +306,34 @@ class TestGuardOverrides:
         monkeypatch.setenv("IG_MAX_CHOICES", "3")
         code, _ = dispatch(["models", path, "--max-choices", "6"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, env, name",
+        [
+            (["ground", "--max-ground=-1"], None, "--max-ground"),
+            (["compile", "--max-ground=-1"], None, "--max-ground"),
+            (["models", "--max-ground=-1"], None, "--max-ground"),
+            (["eval", "--max-ground=-1"], None, "--max-ground"),
+            (["models", "--max-choices=-1"], None, "--max-choices"),
+            (["prob", "--query=a", "--max-switches=-1"], None, "--max-switches"),
+            (["models"], "abc", "IG_MAX_CHOICES"),
+            (["models"], "-1", "IG_MAX_CHOICES"),
+            (["models"], "1.5", "IG_MAX_CHOICES"),
+        ],
+    )
+    def test_a_negative_or_malformed_limit_is_a_usage_error(
+        self, tmp_path, monkeypatch, argv, env, name
+    ):
+        path = write(tmp_path, "p.ig", "0.5 :: a. b :- a.")
+        if env is not None:
+            monkeypatch.setenv("IG_MAX_CHOICES", env)
+        command, *flags = argv
+        code, out, err = run([command, path, *flags])
+        assert (code, out) == (1, "") and err.startswith(f"ig: {name} must be")
+        # 0 stays a valid limit: the guard, not the usage check, decides
+        zero = [f.split("=")[0] + "=0" if "=-1" in f else f for f in flags]
+        monkeypatch.setenv("IG_MAX_CHOICES", "0")
+        assert run([command, path, *zero])[0] in (0, 2)
 
     @pytest.mark.parametrize("command", ["ground", "compile", "models", "eval"])
     def test_max_ground_flag(self, tmp_path, command):

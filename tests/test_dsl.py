@@ -2,6 +2,7 @@
 
 import random
 import string
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,13 @@ from igate.dsl import (
     parse_program,
 )
 from igate.errors import ParseError
+from igate.grounding import ground_program
+
+from oracles import (
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
 
 
 def single_rule(text):
@@ -112,6 +120,13 @@ class TestParsing:
             parse_program("p(X) :- q(X, c9).")
         # ... unless a ground fact introduces it
         parse_program("q(c9, c9). p(X) :- q(X, c9).")
+
+    def test_undeclared_constant_error_is_at_the_earliest_one(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("q(X) :- r(X).\np(X) :- q(X, c9), s(c7, c9).")
+        assert (info.value.line, info.value.column) == (2, 14)
+        assert str(info.value).startswith("2:14: constants not declared")
+        assert str(info.value).endswith("ground fact: c7, c9")
 
     def test_annotation_only_on_rules(self):
         with pytest.raises(ParseError, match="rules only"):
@@ -225,6 +240,43 @@ class TestProperties:
                 rng.random() < 0.5,
             )
             assert lit.negated().negated() == lit
+
+    def test_cached_values_are_the_values_of_the_fields(self):
+        # Each literal computes its derived values once; whichever is read
+        # first, on parsed, ground, negated or replaced literals, each must
+        # be what the fields give, and equal literals must hash equal.
+        rng = random.Random(23)
+        generators = (
+            random_ground_program,
+            random_first_order_program,
+            random_weighted_program,
+        )
+        for i in range(120):
+            program = generators[i % 3](rng)
+            statements = program.statements + ground_program(program).statements
+            for lit in {l for stmt in statements for l in stmt.literals()}:
+                flipped = replace(lit, negative=not lit.negative)
+                for each in (lit, lit.negated(), flipped, replace(flipped)):
+                    names = [t.name for t in each.args]
+                    sign = "-" if each.negative else ""
+                    atom = each.predicate + (f"({','.join(names)})" if names else "")
+                    text = each.predicate + (f"({', '.join(names)})" if names else "")
+                    key = (each.predicate, tuple(names), each.negative)
+                    reads = [
+                        (lambda: each.atom_name, atom),
+                        (lambda: each.channel, sign + atom),
+                        (each.__str__, sign + text),
+                        (each.sort_key, key),
+                        (each.__hash__, hash(key)),
+                        (lambda: each.is_ground, not any(n[0].isupper() for n in names)),
+                    ]
+                    rng.shuffle(reads)
+                    for _ in range(2):  # the second read is the cached one
+                        for read, expected in reads:
+                            assert read() == expected
+                    twin = Literal(each.predicate, tuple(map(Term, names)), each.negative)
+                    assert twin == each and hash(twin) == hash(each)
+                assert lit.negated() == flipped and lit.negated().negated() == lit
 
     def test_parsing_is_total(self):
         rng = random.Random(13)

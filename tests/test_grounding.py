@@ -33,6 +33,29 @@ class TestGrounding:
         program = parse_program("q :- b, a.\np :- a.\n:- a, -c.\n")
         assert ground_program(program) == program
 
+    def test_each_ground_literal_is_one_object(self):
+        # the shape of the benchmark's ground workload: joins, an existential
+        # body, a conjunctive head and a constraint over seven constants
+        consts = [f"k{i}" for i in range(7)]
+        source = "".join(
+            [f"#entity {', '.join(consts)}.\n", "m(k0). m(k3).\n"]
+            + [f"e({a}, {b}).\n" for a, b in zip(consts, consts[2:] + consts)]
+            + [
+                "p(X, Y) :- e(X, Z), e(Z, Y).\n",
+                "h(X) :- e(X, Y).\n",
+                "a(X), b(X) :- m(X), h(X).\n",
+                "c(X, Y) :- p(X, Y), a(Y).\n",
+                "r(X) :- c(X, Y); b(Y).\n",
+                ":- c(X, Y), q(X, Y).\n",
+                "u(X) :- -q(X, X).\n",
+            ]
+        )
+        ground = ground_program(parse_program(source))
+        occurrences = [l for stmt in ground.statements for l in stmt.literals()]
+        distinct = set(occurrences)
+        assert len({id(l) for l in occurrences}) == len(distinct)
+        assert len(occurrences) > 5 * len(distinct) > 5 * 200
+
     def test_idempotence(self):
         program = parse_program(
             "#entity c1, c2.\np(X) :- a(X, Y).\nq(Z) :- p(Z)."
