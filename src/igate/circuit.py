@@ -31,10 +31,6 @@ EXACTLY_ONE = "exactly_one"
 NONEMPTY_SUBSET = "nonempty_subset"
 
 
-def atom_of_channel(channel: str) -> str:
-    return channel.lstrip("-")
-
-
 @dataclass(frozen=True)
 class Gate:
     """Stateless function node; fires its output channel from its inputs."""
@@ -78,6 +74,27 @@ class Generator:
 
 
 @dataclass(frozen=True)
+class ChannelIndex:
+    """Integer view of a circuit, read by the digital kernel.
+
+    Atom i, in sorted atom order, owns channel 2i (positive) and 2i + 1
+    (negative), so the complement of channel c is c ^ 1. `names` and
+    `values` map a channel to its name and its (atom, value) pair. Watch
+    list `watch[c]` holds an (output, inputs) pair per gate that c feeds:
+    the gate fires once all its inputs are on (an OR gate or a one-input
+    AND gate lists none). Generators' channels are in declaration order.
+    """
+
+    names: tuple[str, ...]
+    ids: dict[str, int]
+    watch: list[list[tuple[int, tuple[int, ...]]]]
+    facts: tuple[int, ...]
+    guards: tuple[tuple[int, ...], ...]
+    alternatives: tuple[tuple[tuple[int, ...], ...], ...]
+    values: tuple[tuple[str, bool], ...]
+
+
+@dataclass(frozen=True)
 class Circuit:
     """Immutable gate network; evaluation state lives in the digital engine."""
 
@@ -87,25 +104,33 @@ class Circuit:
     facts: frozenset[str]
 
     def atoms(self) -> list[str]:
-        return sorted({atom_of_channel(c) for c in self.channels})
+        return list(self.index.names[::2])
 
     @cached_property
-    def watchers(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
-        """Watch lists of the digital kernel, built once per circuit.
-
-        Each channel maps to the gates it feeds as (output, other inputs):
-        once the channel is active, the gate fires as soon as its other
-        inputs are active too. An OR gate needs no other input.
-        """
-        watch: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    def index(self) -> ChannelIndex:
+        """The channel ids and watch lists, built once per circuit."""
+        atoms = sorted({c.lstrip("-") for c in self.channels})
+        names = tuple(name for a in atoms for name in (a, "-" + a))
+        ids = dict(zip(names, range(len(names))))
+        watch: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in names]
         for gate in self.gates:
-            inputs = tuple(dict.fromkeys(gate.inputs))
-            for channel in inputs:
-                others = (
-                    () if gate.kind == OR else tuple(i for i in inputs if i != channel)
-                )
-                watch.setdefault(channel, []).append((gate.output, others))
-        return {channel: tuple(entries) for channel, entries in watch.items()}
+            inputs = [ids[c] for c in gate.inputs]
+            needs = tuple(inputs) if gate.kind == AND and len(inputs) > 1 else ()
+            entry = (ids[gate.output], needs)
+            for c in inputs:
+                watch[c].append(entry)
+        return ChannelIndex(
+            names,
+            ids,
+            watch,
+            tuple(ids[c] for c in self.facts),
+            tuple(tuple(ids[c] for c in gen.guard) for gen in self.generators),
+            tuple(
+                tuple(tuple(ids[c] for c in alt) for alt in gen.alternatives)
+                for gen in self.generators
+            ),
+            tuple((a, value) for a in atoms for value in (True, False)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +147,15 @@ def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     if not all(l.is_ground for l in constraint.body):
         raise CircuitError("constraint completion requires ground literals")
     ordered = sorted(constraint.body, key=Literal.sort_key)
-    rules = set()
+    rests: dict[Literal, tuple[Literal, ...]] = {}
     for i, lit in enumerate(ordered):  # each rest, without repeats, is canonical
         rest = tuple(dict.fromkeys(ordered[:i] + ordered[i + 1 :]))
-        rules.add(Rule((lit.negated(),), rest, body_connective=AND))
-    return tuple(sorted(rules, key=str))
+        rests.setdefault(lit.negated(), rest)
+    # Distinct heads begin the rule texts, so their cached texts order the rules.
+    return tuple(
+        Rule((head,), rests[head], body_connective=AND)
+        for head in sorted(rests, key=str)
+    )
 
 
 def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:

@@ -1,22 +1,25 @@
 """Boolean fixpoint propagation and exhaustive model enumeration.
 
 One worklist kernel (`_fixpoint`, after Dowling & Gallier's linear-time
-Horn satisfiability) computes every fixpoint in the package. Each newly
-active channel is read once: its watch list (`Circuit.watchers`) names the
-gates it feeds, and a gate fires when its last missing input arrives.
-Generators whose guard has fired are resolved between worklist runs.
-Model search branches over every generator left unresolved, extending the
-parent's fixpoint by the selected channels only; it prunes branches in
-which both channels of an atom become active, deduplicates by atom values,
-and returns models in a deterministic sorted order. Weighted worlds
-(`igate.prob`) run the same kernel once per world.
+Horn satisfiability) computes every fixpoint in the package, on integer
+channel ids (`Circuit.index`): atom i owns the wire pair 2i and 2i + 1, and
+a state is a bytearray, one byte per channel. Each newly active channel is
+read once: its watch list names the gates it feeds, and a gate fires when
+its last missing input arrives. Generators whose guard has fired are
+resolved between worklist runs. Model search branches over every generator
+left unresolved, extending a copy of the parent's state by the selected
+channels only; it prunes a state in which both wires of an atom are on,
+builds one model per distinct state, and returns models in a deterministic
+sorted order. Weighted worlds (`igate.prob`) run the same kernel once per
+world.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import (
     EXACTLY_ONE,
@@ -41,22 +44,16 @@ UNKNOWN = "unknown"
 TRUE = "true"
 FALSE = "false"
 CONTRADICTION = "contradiction"
+_STATUS = ((UNKNOWN, FALSE), (TRUE, CONTRADICTION))  # [positive on][negative on]
 
 
 def atom_values(circuit: Circuit, active: frozenset[str]) -> dict[str, str]:
     """Per-atom view of an activation state."""
-    values: dict[str, str] = {}
-    for atom in circuit.atoms():
-        pos, neg = atom in active, ("-" + atom) in active
-        if pos and neg:
-            values[atom] = CONTRADICTION
-        elif pos:
-            values[atom] = TRUE
-        elif neg:
-            values[atom] = FALSE
-        else:
-            values[atom] = UNKNOWN
-    return values
+    names = circuit.index.names
+    return {
+        names[c]: _STATUS[names[c] in active][names[c + 1] in active]
+        for c in range(0, len(names), 2)
+    }
 
 
 @dataclass(frozen=True)
@@ -91,17 +88,6 @@ class Model:
         )
 
 
-def _selection_channels(gen: Generator, selection: tuple[int, ...]) -> set[str]:
-    channels: set[str] = set()
-    for index in selection:
-        if not 0 <= index < len(gen.alternatives):
-            raise ValueError(
-                f"{gen.id}: alternative index {index} out of range"
-            )
-        channels.update(gen.alternatives[index])
-    return channels
-
-
 def _validate_selection(gen: Generator, selection: tuple[int, ...]) -> None:
     if gen.cardinality == EXACTLY_ONE and len(selection) != 1:
         raise ValueError(f"{gen.id} takes exactly one alternative")
@@ -109,6 +95,9 @@ def _validate_selection(gen: Generator, selection: tuple[int, ...]) -> None:
         raise ValueError(f"{gen.id} requires a non-empty selection")
     if len(set(selection)) != len(selection):
         raise ValueError(f"{gen.id}: duplicate alternative indices")
+    for index in selection:
+        if not 0 <= index < len(gen.alternatives):
+            raise ValueError(f"{gen.id}: alternative index {index} out of range")
 
 
 def _score_alternative(gen: Generator, scorer: Scorer) -> tuple[int, ...]:
@@ -121,33 +110,42 @@ def _score_alternative(gen: Generator, scorer: Scorer) -> tuple[int, ...]:
     return (best_index,)
 
 
+def _activate(active: bytearray, pending: list[int], channels: Iterable[int]) -> None:
+    for c in channels:
+        if not active[c]:
+            active[c] = 1
+            pending.append(c)
+
+
 def _fixpoint(
     circuit: Circuit,
-    active: set[str],
-    pending: list[str],
-    applied: set[str],
+    active: bytearray,
+    pending: list[int],
+    applied: set[int],
     choices: Mapping[str, tuple[int, ...]],
     scorers: Mapping[str, Scorer],
-) -> list[Generator]:
+) -> list[int]:
     """The propagation kernel: extend `active` in place to the least fixpoint.
 
-    `pending` lists the active channels whose watch lists are still to be
-    read. Draining it fires every gate whose inputs all became active, so
-    each channel is handled once. Then every fired generator not in
-    `applied` is resolved by `choices` or its scorer and its selection
-    queued, until nothing new activates. Returns the fired generators left
-    without a choice or scorer, in declaration order.
+    `active` has one byte per channel id; `pending` lists the active channels
+    whose watch lists are still to be read. Draining it fires every gate
+    whose inputs all became active, so each channel is handled once. Then
+    every fired generator whose position is not in `applied` is resolved by
+    `choices` or its scorer and its selection queued, until nothing new
+    activates. Returns the positions of the fired generators left without a
+    choice or scorer.
     """
-    watchers = circuit.watchers
+    index = circuit.index
+    watch, guards, is_active = index.watch, index.guards, active.__getitem__
     while True:
         while pending:
-            for output, others in watchers.get(pending.pop(), ()):
-                if output not in active and all(c in active for c in others):
-                    active.add(output)
+            for output, needs in watch[pending.pop()]:
+                if not active[output] and all(map(is_active, needs)):
+                    active[output] = 1
                     pending.append(output)
-        unresolved: list[Generator] = []
-        for gen in circuit.generators:
-            if gen.id in applied or not all(c in active for c in gen.guard):
+        unresolved: list[int] = []
+        for g, gen in enumerate(circuit.generators):
+            if g in applied or not all(map(is_active, guards[g])):
                 continue
             if gen.id in choices:
                 selection = choices[gen.id]
@@ -155,23 +153,31 @@ def _fixpoint(
             elif gen.scorer_id is not None and gen.scorer_id in scorers:
                 selection = _score_alternative(gen, scorers[gen.scorer_id])
             else:
-                unresolved.append(gen)
+                unresolved.append(g)
                 continue
-            applied.add(gen.id)
-            new = _selection_channels(gen, selection) - active
-            active |= new
-            pending.extend(new)
+            applied.add(g)
+            for i in selection:
+                _activate(active, pending, index.alternatives[g][i])
         if not pending:
             return unresolved
 
 
-def _initial(circuit: Circuit, inputs: Iterable[str]) -> set[str]:
-    active = set(circuit.facts)
+def _initial(circuit: Circuit, inputs: Iterable[str]) -> tuple[bytearray, list[int]]:
+    """The state with the facts and `inputs` active, all of them pending."""
+    index = circuit.index
+    active, pending = bytearray(len(index.names)), []
+    _activate(active, pending, index.facts)
     for channel in inputs:
-        if channel not in circuit.channels:
+        if channel not in index.ids:
             raise ValueError(f"unknown channel {channel!r}")
-        active.add(channel)
-    return active
+        _activate(active, pending, (index.ids[channel],))
+    return active, pending
+
+
+def _contradictory(active: bytearray) -> bool:
+    # Both wires of an atom are on: the even and odd bytes share a set bit.
+    positive = int.from_bytes(active[::2], "little")
+    return positive & int.from_bytes(active[1::2], "little") != 0
 
 
 def propagate(
@@ -189,40 +195,18 @@ def propagate(
     normalized = {
         gen_id: tuple(sel) for gen_id, sel in (choices or {}).items()
     }
-    active = _initial(circuit, inputs)
+    active, pending = _initial(circuit, inputs)
     unresolved = _fixpoint(
-        circuit, active, list(active), set(), normalized, scorers or {}
+        circuit, active, pending, set(), normalized, scorers or {}
     )
     if unresolved:
-        gen = unresolved[0]
+        gen = circuit.generators[unresolved[0]]
         raise UnresolvedGeneratorError(
             gen.id,
             f"generator {gen.id} fired without a choice or scorer"
             f" (alternatives: {[sorted(a) for a in gen.alternatives]})",
         )
-    return frozenset(active)
-
-
-def _contradictory(active: Collection[str]) -> bool:
-    return any(c[0] == "-" and c[1:] in active for c in active)
-
-
-def model_of(
-    atoms: Iterable[str],
-    active: Collection[str],
-    provenance: tuple[tuple[str, tuple[int, ...]], ...] = (),
-) -> Model | None:
-    """The Model that a fixpoint assigns to `atoms`; None if contradictory."""
-    if _contradictory(active):
-        return None
-    return Model(
-        tuple(
-            (atom, atom in active)
-            for atom in atoms
-            if atom in active or "-" + atom in active
-        ),
-        provenance,
-    )
+    return frozenset(compress(circuit.index.names, active))
 
 
 def _branch_count(gen: Generator, scorers: Mapping[str, Scorer]) -> int:
@@ -264,33 +248,32 @@ def enumerate_models(
             f" IG_MAX_CHOICES to override"
         )
 
-    atoms = circuit.atoms()
-    found: dict[tuple[tuple[str, bool], ...], Model] = {}
-
     # Depth-first, first alternative first. Propagation is monotone, so a
-    # branch extends its parent's fixpoint by the newly selected channels.
-    active = _initial(circuit, inputs)
-    stack = [(active, list(active), set(), {})]
+    # branch extends a copy of its parent's fixpoint by the selected channels.
+    # Distinct consistent states are distinct models; the first state found
+    # keeps its choices as provenance.
+    found: dict[bytes, dict[str, tuple[int, ...]]] = {}
+    stack = [(*_initial(circuit, inputs), set(), {})]
     while stack:
         active, pending, applied, choices = stack.pop()
         unresolved = _fixpoint(circuit, active, pending, applied, {}, scorers)
-        if unresolved and not _contradictory(active):
-            gen = unresolved[0]
-            for selection in reversed(_selections(gen)):
-                new = _selection_channels(gen, selection) - active
-                stack.append(
-                    (
-                        active | new,
-                        list(new),
-                        applied | {gen.id},
-                        {**choices, gen.id: selection},
-                    )
-                )
+        if _contradictory(active):
             continue
-        model = model_of(atoms, active, tuple(sorted(choices.items())))
-        if model is not None:
-            found.setdefault(model.assignment, model)
-    return [found[key] for key in sorted(found)]
+        if not unresolved:
+            found.setdefault(bytes(active), choices)
+            continue
+        g = unresolved[0]
+        gen = circuit.generators[g]
+        for selection in reversed(_selections(gen)):
+            branch, new = bytearray(active), []
+            for i in selection:
+                _activate(branch, new, circuit.index.alternatives[g][i])
+            stack.append((branch, new, applied | {g}, {**choices, gen.id: selection}))
+    models = [
+        Model(tuple(compress(circuit.index.values, state)), tuple(sorted(c.items())))
+        for state, c in found.items()
+    ]
+    return sorted(models, key=lambda model: model.assignment)
 
 
 def check_equivalence(

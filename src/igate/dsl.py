@@ -84,6 +84,10 @@ class Literal:
     negative: bool = False
 
     def negated(self) -> Literal:
+        return self._negation
+
+    @_once
+    def _negation(self) -> Literal:
         return Literal(self.predicate, self.args, not self.negative)
 
     @_once

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import compile_program
-from .digital import Model, model_of, propagate
+from .digital import Model, _activate, _contradictory, _fixpoint, _initial
 from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonicalize
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
@@ -107,26 +107,34 @@ def enumerate_worlds(
     for stmt, switch in annotated:
         deterministic.extend(_switched(stmt, switch))
     circuit = compile_program(Program(tuple(deterministic), program.domain))
-    atoms = sorted(program.atoms())  # every atom but the switches
+    switches = [circuit.index.ids[switch.channel] for _, switch in annotated]
+    # Weighted programs have no generators and propagation is monotone, so
+    # every world extends the fixpoint of the facts by its switches.
+    facts, pending = _initial(circuit, ())
+    _fixpoint(circuit, facts, pending, set(), {}, {})
     worlds: list[WeightedWorld] = []
     for bits in itertools.product((False, True), repeat=len(annotated)):
         weight = 1.0
         assignment = []
-        inputs = []
         for (_, switch), on in zip(annotated, bits):
             weight *= switch.probability if on else 1.0 - switch.probability
             assignment.append((switch.id, on))
-            if on:
-                inputs.append(switch.channel)
-        outcome = model_of(atoms, propagate(circuit, inputs))
+        active, pending = bytearray(facts), []
+        _activate(active, pending, itertools.compress(switches, bits))
+        _fixpoint(circuit, active, pending, set(), {}, {})
+        outcome = None
+        if not _contradictory(active):
+            for c in switches:  # the switches stay out of the outcome
+                active[c] = 0
+            outcome = Model(tuple(itertools.compress(circuit.index.values, active)))
         worlds.append(WeightedWorld(tuple(assignment), weight, outcome))
     return worlds
 
 
-def _holds(model: Model, literal: Literal) -> bool:
+def _holds(values: Mapping[str, bool], literal: Literal) -> bool:
     # Queries read classically: a negative literal holds whenever the atom
     # is not derived true, matching P(-x) = 1 - P(x).
-    truth = model.value(literal.atom_name) is True
+    truth = values.get(literal.atom_name) is True
     return not truth if literal.negative else truth
 
 
@@ -139,9 +147,10 @@ def query_prob(
     """Probability of `query` (optionally conditioned on `given` literals),
     as renormalized mass over the consistent worlds."""
     given = tuple(given)
-    worlds = [w for w in enumerate_worlds(program, max_switches) if w.outcome]
+    worlds = enumerate_worlds(program, max_switches)
+    worlds = [(w.weight, w.outcome.as_dict()) for w in worlds if w.outcome]
     denominator = sum(
-        w.weight for w in worlds if all(_holds(w.outcome, g) for g in given)
+        weight for weight, values in worlds if all(_holds(values, g) for g in given)
     )
     if denominator <= 0.0:
         condition = ", ".join(str(g) for g in given) or "true"
@@ -149,9 +158,9 @@ def query_prob(
             f"conditional undefined: the condition ({condition}) has zero mass"
         )
     numerator = sum(
-        w.weight
-        for w in worlds
-        if _holds(w.outcome, query) and all(_holds(w.outcome, g) for g in given)
+        weight
+        for weight, values in worlds
+        if _holds(values, query) and all(_holds(values, g) for g in given)
     )
     return numerator / denominator
 

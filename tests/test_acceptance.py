@@ -316,7 +316,7 @@ def test_regression_grounding_guard_fires_before_the_work(tmp_path):
 
 def test_regression_switch_guard_fires_before_any_world(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(prob, "propagate", lambda *a: calls.append(a))
+    monkeypatch.setattr(prob, "_fixpoint", lambda *a: calls.append(a))
     path = tmp_path / "switches.ig"
     path.write_text("".join(f"0.5 :: a{i}.\n" for i in range(40)))
     code, out, elapsed = timed_dispatch(["prob", str(path), "--query", "a0"])
@@ -334,6 +334,27 @@ def test_regression_choice_guard_fires_before_the_search(tmp_path, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     assert elapsed < 0.5, f"ig models refused in {elapsed:.3f}s"
     print("[acceptance] regression (choice guard, 40 binary choices): PASS")
+
+
+def test_regression_model_search_copies_states_not_channel_sets():
+    # 1,024 models over 3,010 determined atoms. A search that keeps each
+    # state as a set of channel names, scans it for a contradiction and
+    # builds every model atom by atom takes about 2 s here.
+    source = "".join(f"f{i}.\n" for i in range(3000)) + "".join(
+        f"1{{a{i}; b{i}}}1.\n" for i in range(10)
+    )
+    circuit = compile_program(parse_program(source))
+    start = time.perf_counter()
+    models = enumerate_models(circuit)
+    elapsed = time.perf_counter() - start
+    facts = [(f"f{i}", True) for i in range(3000)]
+    assert len(models) == 1024
+    for model, taken, index in ((models[0], "a", 0), (models[-1], "b", 1)):
+        chosen = [(f"{taken}{i}", True) for i in range(10)]
+        assert model.assignment == tuple(sorted(chosen + facts))
+        assert model.provenance == tuple((f"gen{i}", (index,)) for i in range(10))
+    assert elapsed < 0.75, f"model search over 1,024 models took {elapsed:.3f}s"
+    print("[acceptance] regression (model search, 3,000 facts, 1,024 models): PASS")
 
 
 def test_regression_learner_scales_with_the_count_matrix():

@@ -15,11 +15,18 @@ from igate.circuit import (
     complete_constraint,
     export_dot,
 )
-from igate.digital import enumerate_models
+from igate.digital import enumerate_models, propagate
 from igate.dsl import Program, canonicalize, format_program, parse_program
 from igate.errors import CircuitError
+from igate.grounding import ground_program
+from igate.prob import _split_statements, _switched
 
-from oracles import truth_table_models
+from oracles import (
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+    truth_table_models,
+)
 
 
 def compiled(source: str):
@@ -231,6 +238,69 @@ class TestCompile:
             Gate("xor", ("a", "b"), "p")
         with pytest.raises(ValueError):
             Generator("g0", (frozenset({"a"}),), EXACTLY_ONE)
+
+
+def _index_circuits(seed, count=150):
+    """Compiled random programs: ground, first-order (grounded) and
+    weighted after the switch rewrite, as `igate.prob` compiles them."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            yield compile_program(random_ground_program(rng))
+        elif i % 3 == 1:
+            yield compile_program(ground_program(random_first_order_program(rng)))
+        else:
+            program = canonicalize(ground_program(random_weighted_program(rng)))
+            deterministic, annotated = _split_statements(program)
+            for stmt, switch in annotated:
+                deterministic.extend(_switched(stmt, switch))
+            yield compile_program(Program(tuple(deterministic), program.domain))
+
+
+def _complement(name):
+    return name[1:] if name.startswith("-") else "-" + name
+
+
+class TestChannelIndex:
+    def test_index_agrees_with_the_named_circuit(self):
+        weighted = 0
+        for circuit in _index_circuits(77):
+            index = circuit.index
+            names, ids = index.names, index.ids
+            weighted += any(name.startswith("$") for name in names)
+            assert set(names) == circuit.channels and len(names) == len(ids)
+            atoms = list(names[::2])
+            assert atoms == sorted({name.lstrip("-") for name in names})
+            assert circuit.atoms() == atoms
+            for c, name in enumerate(names):
+                assert ids[name] == c
+                assert names[c ^ 1] == _complement(name)
+                assert index.values[c] == (names[c & ~1], c % 2 == 0)
+            expected = [[] for _ in names]
+            for gate in circuit.gates:
+                inputs = tuple(ids[c] for c in gate.inputs)
+                needs = inputs if gate.kind == "and" and len(inputs) > 1 else ()
+                for c in inputs:
+                    expected[c].append((ids[gate.output], needs))
+            assert index.watch == expected
+            assert sorted(names[c] for c in index.facts) == sorted(circuit.facts)
+            assert len(index.guards) == len(index.alternatives) == len(
+                circuit.generators
+            )
+            for gen, guard, alternatives in zip(
+                circuit.generators, index.guards, index.alternatives
+            ):
+                assert tuple(names[c] for c in guard) == gen.guard
+                assert len(alternatives) == len(gen.alternatives)
+                for alt_ids, alt in zip(alternatives, gen.alternatives):
+                    assert sorted(names[c] for c in alt_ids) == sorted(alt)
+        assert weighted > 0
+
+    def test_circuit_without_channels(self):
+        circuit = compiled("")
+        assert circuit.index.names == () and circuit.index.watch == []
+        assert propagate(circuit) == frozenset()
+        assert [m.assignment for m in enumerate_models(circuit)] == [()]
 
 
 class TestDotExport:

@@ -1,24 +1,26 @@
 """Differential tests of the worklist kernel against the code it replaced.
 
 `sweep_run` is the former propagation loop, kept here as a reference: it
-re-sweeps every gate and generator until nothing changes. Propagation and
-model search must agree with it (active sets, errors, model order and
-provenance), and weighted worlds must agree world by world with a
-reference that recompiles the enabled statements of every world.
+re-sweeps every gate and generator until nothing changes, on string
+channel sets, with the string helpers the kernel used before it ran on
+integer channel ids. Propagation and model search must agree with it
+(active sets, errors, model order and provenance), and weighted worlds
+must agree world by world with a reference that recompiles the enabled
+statements of every world.
 """
 
 import itertools
 import math
 import random
+from typing import Collection
+
 import pytest
 
-from igate.circuit import compile_program
+from igate.circuit import Generator, compile_program
 from igate.digital import (
     Model,
     _branch_count,
-    _contradictory,
     _score_alternative,
-    _selection_channels,
     _selections,
     _validate_selection,
     enumerate_models,
@@ -41,6 +43,21 @@ SCORER = "pick"
 # ---------------------------------------------------------------------------
 # References
 # ---------------------------------------------------------------------------
+
+def _selection_channels(gen: Generator, selection: tuple[int, ...]) -> set[str]:
+    channels: set[str] = set()
+    for index in selection:
+        if not 0 <= index < len(gen.alternatives):
+            raise ValueError(
+                f"{gen.id}: alternative index {index} out of range"
+            )
+        channels.update(gen.alternatives[index])
+    return channels
+
+
+def _contradictory(active: Collection[str]) -> bool:
+    return any(c[0] == "-" and c[1:] in active for c in active)
+
 
 def sweep_run(circuit, inputs, choices, scorers, applied=frozenset()):
     """Least fixpoint by repeated full sweeps, plus the unresolved generators."""
