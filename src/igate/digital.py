@@ -10,8 +10,8 @@ resolved between worklist runs. Model search branches over every generator
 left unresolved, extending a copy of the parent's state by the selected
 channels only; it prunes a state in which both wires of an atom are on,
 builds one model per distinct state, and returns models in a deterministic
-sorted order. Weighted worlds (`igate.prob`) run the same kernel once per
-world.
+sorted order. Weighted queries (`igate.prob`) read the same watch lists,
+with a BDD per channel in place of a byte.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ the deterministic statements plus the enabled annotated ones. The program
 is compiled once, with every switch as a channel ("$s0", a name the parser
 cannot produce) that each gate of its statement takes as an extra AND
 input: a disjunctive body splits into one gate per disjunct, and a fact
-becomes a gate from its switch alone. A world is then one run of the
-digital kernel with the switches that are on as inputs. Contradictory
-worlds are dropped and the remaining mass renormalized. The six dependency
-forms are additionally computed literally over an explicit joint
+becomes a gate from its switch alone. A query runs the kernel's fixpoint
+once, on reduced ordered BDDs of the switches in place of bytes (ProbLog's
+compilation), and takes the weighted model count of its consistent worlds:
+contradictory worlds are dropped and the remaining mass renormalized.
+`enumerate_worlds` still lists the worlds, one kernel run each. The six
+dependency forms are additionally computed literally over an explicit joint
 distribution, next to an exact conditional oracle, so their agreements and
 deviations can be measured.
 """
@@ -22,9 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .circuit import compile_program
+from .circuit import Circuit, compile_program
 from .digital import Model, _activate, _contradictory, _fixpoint, _initial
-from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonicalize
+from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonicalize_statement
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
 
@@ -57,23 +59,27 @@ class WeightedWorld:
 
 
 def _split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]]:
-    deterministic: list = []
-    annotated: list[tuple[Rule, Switch]] = []
+    """The unweighted statements, and the annotated ones with their switches,
+    numbered over their canonical text. As in canonical order, a disjunctive
+    head is reported before a choice."""
+    deterministic, weighted = [], []
     for stmt in program.statements:
-        if isinstance(stmt, Choice):
-            raise ProbabilityError(
-                "probabilistic evaluation does not support choice statements"
-            )
         if isinstance(stmt, Rule) and stmt.head_connective in (OR, XOR):
             raise ProbabilityError(
                 "probabilistic evaluation does not support disjunctive heads"
             )
         if isinstance(stmt, Rule) and stmt.probability is not None:
-            switch = Switch(f"s{len(annotated)}", stmt.probability)
-            annotated.append((stmt, switch))
+            weighted.append(stmt)
         else:
             deterministic.append(stmt)
-    return deterministic, annotated
+    if any(isinstance(stmt, Choice) for stmt in deterministic):
+        raise ProbabilityError(
+            "probabilistic evaluation does not support choice statements"
+        )
+    ordered = sorted(map(canonicalize_statement, weighted), key=str)
+    return deterministic, [
+        (stmt, Switch(f"s{i}", stmt.probability)) for i, stmt in enumerate(ordered)
+    ]
 
 
 def _switched(rule: Rule, switch: Switch) -> list[Rule]:
@@ -88,16 +94,11 @@ def _switched(rule: Rule, switch: Switch) -> list[Rule]:
     ]
 
 
-def enumerate_worlds(
-    program: Program, max_switches: int = MAX_SWITCHES
-) -> list[WeightedWorld]:
-    """All 2^n switch assignments with their weights and propagation outcomes.
-
-    Switches are numbered ($s0, $s1, ...) over the canonical order of the
-    ground program, as are the errors for choices and disjunctive heads, so
-    neither depends on the order of the source statements.
-    """
-    program = canonicalize(ground_program(program))
+def _compile_weighted(
+    program: Program, max_switches: int
+) -> tuple[Circuit, list[Switch], list[int]]:
+    """The compiled circuit, its switches and their channel ids; one compile."""
+    program = ground_program(program)
     deterministic, annotated = _split_statements(program)
     if len(annotated) > max_switches:
         raise GuardError(
@@ -107,35 +108,124 @@ def enumerate_worlds(
     for stmt, switch in annotated:
         deterministic.extend(_switched(stmt, switch))
     circuit = compile_program(Program(tuple(deterministic), program.domain))
-    switches = [circuit.index.ids[switch.channel] for _, switch in annotated]
+    switches = [switch for _, switch in annotated]
+    return circuit, switches, [circuit.index.ids[s.channel] for s in switches]
+
+
+def enumerate_worlds(
+    program: Program, max_switches: int = MAX_SWITCHES
+) -> list[WeightedWorld]:
+    """All 2^n switch assignments with their weights and propagation outcomes,
+    the switches ($s0, $s1, ...) numbered over the annotated statements'
+    canonical text, whatever the order of the source statements."""
+    circuit, switches, channels = _compile_weighted(program, max_switches)
     # Weighted programs have no generators and propagation is monotone, so
     # every world extends the fixpoint of the facts by its switches.
     facts, pending = _initial(circuit, ())
     _fixpoint(circuit, facts, pending, set(), {}, {})
     worlds: list[WeightedWorld] = []
-    for bits in itertools.product((False, True), repeat=len(annotated)):
+    for bits in itertools.product((False, True), repeat=len(switches)):
         weight = 1.0
         assignment = []
-        for (_, switch), on in zip(annotated, bits):
+        for switch, on in zip(switches, bits):
             weight *= switch.probability if on else 1.0 - switch.probability
             assignment.append((switch.id, on))
         active, pending = bytearray(facts), []
-        _activate(active, pending, itertools.compress(switches, bits))
+        _activate(active, pending, itertools.compress(channels, bits))
         _fixpoint(circuit, active, pending, set(), {}, {})
         outcome = None
         if not _contradictory(active):
-            for c in switches:  # the switches stay out of the outcome
+            for c in channels:  # the switches stay out of the outcome
                 active[c] = 0
             outcome = Model(tuple(itertools.compress(circuit.index.values, active)))
         worlds.append(WeightedWorld(tuple(assignment), weight, outcome))
     return worlds
 
 
-def _holds(values: Mapping[str, bool], literal: Literal) -> bool:
-    # Queries read classically: a negative literal holds whenever the atom
-    # is not derived true, matching P(-x) = 1 - P(x).
-    truth = values.get(literal.atom_name) is True
-    return not truth if literal.negative else truth
+_AND, _OR, _DIFF = 0, 1, 2  # f and g, f or g, f and not g
+
+
+def _terminal(op: int, f: int, g: int) -> int:
+    """op(f, g) when no variable needs splitting (0 is false, 1 true), else -1."""
+    if op == _AND:
+        return 0 if 0 in (f, g) else g if f in (1, g) else f if g == 1 else -1
+    if op == _OR:
+        return 1 if 1 in (f, g) else g if f in (0, g) else f if g == 0 else -1
+    return 0 if f == 0 or g in (1, f) else f if g == 0 else -1
+
+
+class _BDD:
+    """Reduced ordered BDDs over the switches, in switch order. Node 0 is
+    false, node 1 true, every other node a unique (variable, low, high)
+    triple; `apply` walks an explicit stack, so depth never recurses."""
+
+    def __init__(self, probabilities: Sequence[float]):
+        self.probabilities = probabilities
+        bottom = len(probabilities)  # the terminals sit below every variable
+        self.nodes = [(bottom, 0, 0), (bottom, 1, 1)]
+        self.unique: dict[tuple[int, int, int], int] = {}
+        self.cache: dict[tuple[int, int, int], int] = {}
+
+    def node(self, v: int, low: int, high: int) -> int:
+        if low == high:
+            return low
+        n = self.unique.setdefault((v, low, high), len(self.nodes))
+        if n == len(self.nodes):
+            self.nodes.append((v, low, high))
+        return n
+
+    def apply(self, op: int, f: int, g: int) -> int:
+        """`op` (_AND, _OR or _DIFF) of the functions f and g."""
+        nodes, cache = self.nodes, self.cache
+        stack = [(op, f, g)]
+        while stack:
+            key = stack[-1]
+            result = cache.get(key, _terminal(*key))
+            if result < 0:
+                _, f, g = key
+                v = min(nodes[f][0], nodes[g][0])
+                f0, f1 = nodes[f][1:] if nodes[f][0] == v else (f, f)
+                g0, g1 = nodes[g][1:] if nodes[g][0] == v else (g, g)
+                low, high = cache.get((op, f0, g0)), cache.get((op, f1, g1))
+                if low is None or high is None:
+                    stack += ((op, f0, g0), (op, f1, g1))
+                    continue
+                result = self.node(v, low, high)
+            cache[key] = result
+            stack.pop()
+        return result
+
+    def masses(self) -> list[float]:
+        """Per node, the mass of the worlds where it holds; children come first."""
+        mass = [0.0, 1.0]
+        for v, low, high in self.nodes[2:]:
+            p = self.probabilities[v]
+            mass.append((1.0 - p) * mass[low] + p * mass[high])
+        return mass
+
+
+def _derivations(circuit: Circuit, switches: Sequence[int], bdd: _BDD) -> list[int]:
+    """Per channel, the BDD of its worlds: the kernel's least fixpoint with BDD
+    OR/AND in place of setting a byte. Switch i starts as variable i, a fact
+    as true; a channel is read again only when its node changes."""
+    watch, apply = circuit.index.watch, bdd.apply
+    value = [0] * len(circuit.index.names)
+    pending = [*circuit.index.facts, *switches]
+    for c in circuit.index.facts:
+        value[c] = 1
+    for level, c in enumerate(switches):
+        value[c] = bdd.node(level, 0, 1)
+    while pending:
+        c = pending.pop()
+        for output, needs in watch[c]:
+            fired = value[c]
+            for n in needs:
+                fired = apply(_AND, fired, value[n])
+            new = apply(_OR, value[output], fired)
+            if new != value[output]:
+                value[output] = new
+                pending.append(output)
+    return value
 
 
 def query_prob(
@@ -144,25 +234,35 @@ def query_prob(
     given: Iterable[Literal] = (),
     max_switches: int = MAX_SWITCHES,
 ) -> float:
-    """Probability of `query` (optionally conditioned on `given` literals),
-    as renormalized mass over the consistent worlds."""
+    """Probability of `query` given the `given` literals, over the consistent
+    worlds: with S(x) the BDD of channel x and C the OR of S(a) and S(-a) over
+    the atoms, WMC(q and g and not C) / WMC(g and not C). A negative literal
+    reads as not S(a), so P(-x) = 1 - P(x)."""
+    circuit, switches, channels = _compile_weighted(program, max_switches)
+    bdd = _BDD([switch.probability for switch in switches])
+    apply, value = bdd.apply, _derivations(circuit, channels, bdd)
+    for c in channels:  # the switches stay out of the outcome
+        value[c] = 0
+    contradiction = 0
+    for positive, negative in zip(value[::2], value[1::2]):
+        contradiction = apply(_OR, contradiction, apply(_AND, positive, negative))
+
+    def holds(condition: int, literal: Literal) -> int:
+        c = circuit.index.ids.get(literal.atom_name)
+        derived = 0 if c is None else value[c]
+        return apply(_DIFF if literal.negative else _AND, condition, derived)
+
     given = tuple(given)
-    worlds = enumerate_worlds(program, max_switches)
-    worlds = [(w.weight, w.outcome.as_dict()) for w in worlds if w.outcome]
-    denominator = sum(
-        weight for weight, values in worlds if all(_holds(values, g) for g in given)
-    )
-    if denominator <= 0.0:
-        condition = ", ".join(str(g) for g in given) or "true"
+    condition = apply(_DIFF, 1, contradiction)
+    for g in given:
+        condition = holds(condition, g)
+    event, mass = holds(condition, query), bdd.masses()
+    if mass[condition] <= 0.0:
+        text = ", ".join(str(g) for g in given) or "true"
         raise ProbabilityError(
-            f"conditional undefined: the condition ({condition}) has zero mass"
+            f"conditional undefined: the condition ({text}) has zero mass"
         )
-    numerator = sum(
-        weight
-        for weight, values in worlds
-        if _holds(values, query) and all(_holds(values, g) for g in given)
-    )
-    return numerator / denominator
+    return mass[event] / mass[condition]
 
 
 # ---------------------------------------------------------------------------

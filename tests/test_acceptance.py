@@ -316,13 +316,44 @@ def test_regression_grounding_guard_fires_before_the_work(tmp_path):
 
 def test_regression_switch_guard_fires_before_any_world(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(prob, "_fixpoint", lambda *a: calls.append(a))
+    monkeypatch.setattr(prob, "compile_program", lambda *a: calls.append(a))
     path = tmp_path / "switches.ig"
     path.write_text("".join(f"0.5 :: a{i}.\n" for i in range(40)))
     code, out, elapsed = timed_dispatch(["prob", str(path), "--query", "a0"])
     assert (code, out, calls) == (2, "", [])
     assert elapsed < 0.5, f"ig prob refused in {elapsed:.3f}s"
     print("[acceptance] regression (switch guard, 40 weighted facts): PASS")
+
+
+def test_regression_weighted_query_does_not_enumerate_worlds():
+    # q = (s0 and s1) or s2 over 20 weighted facts: about 2^20 worlds one
+    # at a time took about 41 s; the BDD query takes about a millisecond.
+    facts = [f"s{i:02d}" for i in range(20)]
+    p = [0.3 + 0.4 * i / 20 for i in range(20)]
+    source = "".join(f"{pi!r} :: {f}.\n" for pi, f in zip(p, facts))
+    program = parse_program(source + "t :- s00, s01.\nq :- t; s02.\n")
+    start = time.perf_counter()
+    value = query_prob(program, parse_literal("q"))
+    elapsed = time.perf_counter() - start
+    assert value == pytest.approx(p[0] * p[1] + p[2] - p[0] * p[1] * p[2], abs=1e-12)
+    assert elapsed < 0.5, f"query over 20 switches took {elapsed:.3f}s"
+    print("[acceptance] regression (weighted query, 20 switches): PASS")
+
+
+def test_regression_weighted_query_has_no_recursion_limit():
+    # P(-q | -a7) over 1,500 switches depends on every one of them, so the
+    # diagrams are 1,500 levels deep, past Python's recursion limit.
+    n = 1500
+    source = "".join(f"0.001 :: a{i}.\n" for i in range(n))
+    source += "q :- " + "; ".join(f"a{i}" for i in range(n)) + ".\n"
+    value = query_prob(
+        parse_program(source),
+        parse_literal("-q"),
+        [parse_literal("-a7")],
+        max_switches=n,
+    )
+    assert value == pytest.approx(0.999 ** (n - 1), abs=1e-12)
+    print("[acceptance] regression (weighted query, 1,500 switches): PASS")
 
 
 def test_regression_choice_guard_fires_before_the_search(tmp_path, monkeypatch):

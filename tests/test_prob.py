@@ -1,7 +1,9 @@
 """Weighted worlds, probability queries, and the six dependency forms."""
 
+import dataclasses
 import math
 import random
+from typing import Iterable, Mapping
 
 import pytest
 
@@ -9,6 +11,7 @@ from igate.dsl import (
     AND,
     OR,
     Constraint,
+    Literal,
     Program,
     atom_literal,
     format_program,
@@ -17,6 +20,7 @@ from igate.dsl import (
 )
 from igate.errors import GuardError, ProbabilityError
 from igate.prob import (
+    MAX_SWITCHES,
     JointTable,
     compare_formulas,
     enumerate_worlds,
@@ -27,6 +31,49 @@ from igate.prob import (
 )
 
 from oracles import naive_query, random_weighted_program
+
+
+# The former `query_prob`, which summed the weights of the consistent worlds
+# one world at a time; the reference for the BDD query.
+def _holds(values: Mapping[str, bool], literal: Literal) -> bool:
+    # Queries read classically: a negative literal holds whenever the atom
+    # is not derived true, matching P(-x) = 1 - P(x).
+    truth = values.get(literal.atom_name) is True
+    return not truth if literal.negative else truth
+
+
+def per_world_query(
+    program: Program,
+    query: Literal,
+    given: Iterable[Literal] = (),
+    max_switches: int = MAX_SWITCHES,
+) -> float:
+    """Probability of `query` (optionally conditioned on `given` literals),
+    as renormalized mass over the consistent worlds."""
+    given = tuple(given)
+    worlds = enumerate_worlds(program, max_switches)
+    worlds = [(w.weight, w.outcome.as_dict()) for w in worlds if w.outcome]
+    denominator = sum(
+        weight for weight, values in worlds if all(_holds(values, g) for g in given)
+    )
+    if denominator <= 0.0:
+        condition = ", ".join(str(g) for g in given) or "true"
+        raise ProbabilityError(
+            f"conditional undefined: the condition ({condition}) has zero mass"
+        )
+    numerator = sum(
+        weight
+        for weight, values in worlds
+        if _holds(values, query) and all(_holds(values, g) for g in given)
+    )
+    return numerator / denominator
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
 
 
 def q(source: str, query: str, given: str = "") -> float:
@@ -68,6 +115,24 @@ class TestWorlds:
             enumerate_worlds(parse_program("1{a; -a}1."))
         with pytest.raises(ProbabilityError, match="disjunctive"):
             enumerate_worlds(parse_program("p; q :- a."))
+
+    def test_switches_and_outcomes_ignore_statement_order(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            program = random_weighted_program(rng)
+            statements = list(program.statements)
+            rng.shuffle(statements)
+            shuffled = Program(tuple(statements))
+            expected = [(w.assignment, w.outcome) for w in enumerate_worlds(program)]
+            got = [(w.assignment, w.outcome) for w in enumerate_worlds(shuffled)]
+            assert got == expected, format_program(program)
+
+    def test_disjunctive_head_reported_before_choice(self):
+        for source in ("1{a; -a}1. p; q :- a.", "p; q :- a. 1{a; -a}1."):
+            with pytest.raises(ProbabilityError, match="disjunctive heads"):
+                enumerate_worlds(parse_program(source))
+            with pytest.raises(ProbabilityError, match="disjunctive heads"):
+                query_prob(parse_program(source), parse_literal("a"))
 
     def test_switch_guard(self):
         source = " ".join(f"0.5 :: x{i}." for i in range(21))
@@ -186,6 +251,70 @@ class TestQueries:
                 assert got == pytest.approx(expected, abs=1e-12), format_program(
                     program
                 )
+        assert all(seen.values()), seen
+
+    def test_agrees_with_per_world_reference(self):
+        # Random weighted programs, some with a repeated weighted statement,
+        # a probability of exactly 0 or 1, a choice or disjunctive head, or
+        # a switch limit below their switch count; queries and conditions
+        # on negative literals and on atoms the program never mentions.
+        rng = random.Random(34)
+        edit = random.Random(35)
+        unsupported = parse_program("1{a; -a}1. p; q :- a.").statements
+        seen = dict.fromkeys(
+            ("repeated weighted", "probability 0 or 1", "constraint",
+             "negative query", "negative given", "unknown atom", "zero mass",
+             "unsupported", "guard", "value"), 0
+        )
+        for _ in range(500):
+            program = random_weighted_program(rng)
+            statements = list(program.statements)
+            weighted = [
+                i for i, s in enumerate(statements)
+                if getattr(s, "probability", None) is not None
+            ]
+            if weighted and edit.random() < 0.3:
+                statements.append(statements[edit.choice(weighted)])
+                seen["repeated weighted"] += 1
+            if weighted and edit.random() < 0.3:
+                i = edit.choice(weighted)
+                statements[i] = dataclasses.replace(
+                    statements[i], probability=edit.choice((0.0, 1.0))
+                )
+                seen["probability 0 or 1"] += 1
+            if edit.random() < 0.05:
+                statements.append(edit.choice(unsupported))
+                seen["unsupported"] += 1
+            edit.shuffle(statements)
+            program = Program(tuple(statements))
+            seen["constraint"] += any(isinstance(s, Constraint) for s in statements)
+            limit = MAX_SWITCHES if edit.random() < 0.95 else len(weighted) - 1
+            atoms = sorted(program.atoms()) + ["zz"]
+            for _ in range(3):
+                query = atom_literal(rng.choice(atoms), rng.random() < 0.5)
+                given = [
+                    atom_literal(rng.choice(atoms), rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 2))
+                ]
+                seen["negative query"] += query.negative
+                seen["negative given"] += any(g.negative for g in given)
+                seen["unknown atom"] += "zz" in [l.atom_name for l in (query, *given)]
+                got = outcome(lambda: query_prob(program, query, given, limit))
+                expected = outcome(
+                    lambda: per_world_query(program, query, given, limit)
+                )
+                if isinstance(expected, float):
+                    assert got == pytest.approx(expected, abs=1e-12), format_program(
+                        program
+                    )
+                    assert got == pytest.approx(
+                        naive_query(program, query, given), abs=1e-12
+                    )
+                    seen["value"] += 1
+                    continue
+                assert got == expected, format_program(program)
+                seen["zero mass"] += "zero mass" in expected[1]
+                seen["guard"] += expected[0] is GuardError
         assert all(seen.values()), seen
 
     def test_deterministic_programs_have_degenerate_probabilities(self):
