@@ -79,17 +79,17 @@ class ChannelIndex:
 
     Atom i, in sorted atom order, owns channel 2i (positive) and 2i + 1
     (negative), so the complement of channel c is c ^ 1. `names` and
-    `values` map a channel to its name and its (atom, value) pair. Watch
-    list `watch[c]` holds an (output, inputs) pair per gate that c feeds:
-    the gate fires once all its inputs are on (an OR gate or a one-input
-    AND gate lists none). Generators' channels are in declaration order.
+    `values` map a channel to its name and its (atom, value) pair. Generator
+    g owns the ready wire len(names) + g, an AND of its guard (a fact when
+    unguarded). Watch list `watch[c]` holds an (output, inputs) pair per gate
+    or guard that c feeds: it fires once all its inputs are on (an OR gate or
+    a one-input AND lists none). `alternatives[g]` holds g's alternatives' ids.
     """
 
     names: tuple[str, ...]
     ids: dict[str, int]
     watch: list[list[tuple[int, tuple[int, ...]]]]
     facts: tuple[int, ...]
-    guards: tuple[tuple[int, ...], ...]
     alternatives: tuple[tuple[tuple[int, ...], ...], ...]
     values: tuple[tuple[str, bool], ...]
 
@@ -113,18 +113,24 @@ class Circuit:
         names = tuple(name for a in atoms for name in (a, "-" + a))
         ids = dict(zip(names, range(len(names))))
         watch: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in names]
-        for gate in self.gates:
-            inputs = [ids[c] for c in gate.inputs]
-            needs = tuple(inputs) if gate.kind == AND and len(inputs) > 1 else ()
-            entry = (ids[gate.output], needs)
+        facts = [ids[c] for c in self.facts]
+        nodes = [(gate.kind, gate.inputs, ids[gate.output]) for gate in self.gates]
+        for gen in self.generators:  # an AND of its guard into its ready wire
+            nodes.append((AND, gen.guard, len(watch)))
+            watch.append([])
+        for kind, channels, output in nodes:
+            inputs = [ids[c] for c in channels]
+            needs = tuple(inputs) if kind == AND and len(inputs) > 1 else ()
+            entry = (output, needs)
             for c in inputs:
                 watch[c].append(entry)
+            if not inputs:  # an unguarded generator is ready from the start
+                facts.append(output)
         return ChannelIndex(
             names,
             ids,
             watch,
-            tuple(ids[c] for c in self.facts),
-            tuple(tuple(ids[c] for c in gen.guard) for gen in self.generators),
+            tuple(facts),
             tuple(
                 tuple(tuple(ids[c] for c in alt) for alt in gen.alternatives)
                 for gen in self.generators
@@ -227,29 +233,13 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
 
     atoms = {lit.atom_name for stmt in statements for lit in stmt.literals()}
     gates: list[Gate] = []
-    generators: list[Generator] = []
+    generators: list[tuple] = []  # Generator fields after the id
     facts: set[str] = set()
-
-    def add_generator(
-        alternatives: tuple[frozenset[str], ...],
-        cardinality: str,
-        guard: tuple[str, ...],
-        scorer_id: str | None,
-    ) -> None:
-        generators.append(
-            Generator(
-                f"gen{len(generators)}", alternatives, cardinality, guard, scorer_id
-            )
-        )
 
     for stmt in statements:
         if isinstance(stmt, Choice):
-            add_generator(
-                tuple(frozenset({l.channel}) for l in stmt.literals_),
-                EXACTLY_ONE,
-                (),
-                None,
-            )
+            alternatives = tuple(frozenset({l.channel}) for l in stmt.literals_)
+            generators.append((alternatives, EXACTLY_ONE, (), None))
             continue
 
         rule: Rule = stmt
@@ -268,7 +258,7 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
                 else [body_channels]
             )
             for guard in guards:
-                add_generator(alternatives, cardinality, guard, scorer)
+                generators.append((alternatives, cardinality, guard, scorer))
             continue
 
         if rule.is_fact:
@@ -284,7 +274,7 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     return Circuit(
         channels=frozenset(atoms).union("-" + a for a in atoms),
         gates=tuple(gates),
-        generators=tuple(generators),
+        generators=tuple(Generator(f"gen{g}", *s) for g, s in enumerate(generators)),
         facts=frozenset(facts),
     )
 

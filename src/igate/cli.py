@@ -1,9 +1,9 @@
 """Command-line front end: `ig <subcommand> ...`.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing files), 2
-semantic error (syntax errors, guards exceeded, zero-mass conditionals).
-Results go to stdout, diagnostics to stderr. The IG_MAX_CHOICES
-environment variable overrides the model-enumeration guard.
+Exit codes: 0 success, 1 usage error (bad flags, unreadable or unwritable
+files), 2 semantic error (syntax errors, guards exceeded, zero-mass
+conditionals). Results go to stdout, diagnostics to stderr. The
+IG_MAX_CHOICES environment variable overrides the model-enumeration guard.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ def _read_file(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_program(path: str) -> dsl.Program:
     return dsl.parse_program(_read_file(path))
 
@@ -69,7 +77,7 @@ def _split_outside_parens(text: str) -> list[str]:
 
 
 def _format_prob(value: float) -> str:
-    if value == 0.0 or value >= 1e-3:
+    if value == 0.0 or abs(value) >= 1e-3:
         return f"{value:.12f}"
     return f"{value:.12e}"
 
@@ -111,8 +119,7 @@ def _cmd_compile(args, out) -> int:
     program = grounding.ground_program(_load_program(args.file), args.max_ground)
     compiled = circuit_mod.compile_program(program)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(circuit_mod.export_dot(compiled))
+        _write_file(args.dot, circuit_mod.export_dot(compiled))
     print(
         f"channels: {len(compiled.channels)}  gates: {len(compiled.gates)}"
         f"  generators: {len(compiled.generators)}  facts: {len(compiled.facts)}",
@@ -295,11 +302,8 @@ def _cmd_learn(args, out) -> int:
     else:
         out.write(text)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        with open(args.emit + ".evidence.json", "w", encoding="utf-8") as handle:
-            json.dump(evidence, handle, indent=2)
-            handle.write("\n")
+        _write_file(args.emit, text)
+        _write_file(args.emit + ".evidence.json", json.dumps(evidence, indent=2) + "\n")
     return 0
 
 

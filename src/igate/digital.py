@@ -2,16 +2,17 @@
 
 One worklist kernel (`_fixpoint`, after Dowling & Gallier's linear-time
 Horn satisfiability) computes every fixpoint in the package, on integer
-channel ids (`Circuit.index`): atom i owns the wire pair 2i and 2i + 1, and
-a state is a bytearray, one byte per channel. Each newly active channel is
-read once: its watch list names the gates it feeds, and a gate fires when
-its last missing input arrives. Generators whose guard has fired are
-resolved between worklist runs. Model search branches over every generator
-left unresolved, extending a copy of the parent's state by the selected
-channels only; it prunes a state in which both wires of an atom are on,
-builds one model per distinct state, and returns models in a deterministic
-sorted order. Weighted queries (`igate.prob`) read the same watch lists,
-with a BDD per channel in place of a byte.
+wire ids (`Circuit.index`): atom i owns the wire pair 2i and 2i + 1,
+generator g a ready wire after them, and a state is a bytearray, one byte
+per wire. Each newly active wire is read once: its watch list names the
+gates and guards it feeds, and one fires when its last missing input
+arrives. Between worklist runs each ready generator (byte 1) is resolved
+(byte 2). Model search branches over every generator left unresolved,
+extending a copy of the parent's state by the selected channels only; it
+prunes a state in which both wires of an atom are on, builds one model per
+distinct state, and returns models in a deterministic sorted order.
+Weighted queries (`igate.prob`) read the same watch lists, with a BDD per
+channel in place of a byte.
 """
 
 from __future__ import annotations
@@ -121,22 +122,21 @@ def _fixpoint(
     circuit: Circuit,
     active: bytearray,
     pending: list[int],
-    applied: set[int],
     choices: Mapping[str, tuple[int, ...]],
     scorers: Mapping[str, Scorer],
 ) -> list[int]:
     """The propagation kernel: extend `active` in place to the least fixpoint.
 
-    `active` has one byte per channel id; `pending` lists the active channels
-    whose watch lists are still to be read. Draining it fires every gate
-    whose inputs all became active, so each channel is handled once. Then
-    every fired generator whose position is not in `applied` is resolved by
-    `choices` or its scorer and its selection queued, until nothing new
-    activates. Returns the positions of the fired generators left without a
-    choice or scorer.
+    `active` has one byte per wire id; `pending` lists the active wires
+    whose watch lists are still to be read. Draining it fires every gate and
+    guard whose inputs all became active, so each wire is handled once.
+    Then every ready generator, in position order, is resolved by `choices`
+    or its scorer, its ready byte set to 2 and its selection queued, until
+    nothing new activates. Returns the positions of the ready generators
+    left without a choice or scorer.
     """
     index = circuit.index
-    watch, guards, is_active = index.watch, index.guards, active.__getitem__
+    watch, is_active, first = index.watch, active.__getitem__, len(index.names)
     while True:
         while pending:
             for output, needs in watch[pending.pop()]:
@@ -144,9 +144,10 @@ def _fixpoint(
                     active[output] = 1
                     pending.append(output)
         unresolved: list[int] = []
-        for g, gen in enumerate(circuit.generators):
-            if g in applied or not all(map(is_active, guards[g])):
-                continue
+        ready = first - 1
+        while (ready := active.find(1, ready + 1)) >= 0:
+            g = ready - first
+            gen = circuit.generators[g]
             if gen.id in choices:
                 selection = choices[gen.id]
                 _validate_selection(gen, selection)
@@ -155,7 +156,7 @@ def _fixpoint(
             else:
                 unresolved.append(g)
                 continue
-            applied.add(g)
+            active[ready] = 2
             for i in selection:
                 _activate(active, pending, index.alternatives[g][i])
         if not pending:
@@ -165,7 +166,7 @@ def _fixpoint(
 def _initial(circuit: Circuit, inputs: Iterable[str]) -> tuple[bytearray, list[int]]:
     """The state with the facts and `inputs` active, all of them pending."""
     index = circuit.index
-    active, pending = bytearray(len(index.names)), []
+    active, pending = bytearray(len(index.watch)), []
     _activate(active, pending, index.facts)
     for channel in inputs:
         if channel not in index.ids:
@@ -174,10 +175,10 @@ def _initial(circuit: Circuit, inputs: Iterable[str]) -> tuple[bytearray, list[i
     return active, pending
 
 
-def _contradictory(active: bytearray) -> bool:
-    # Both wires of an atom are on: the even and odd bytes share a set bit.
-    positive = int.from_bytes(active[::2], "little")
-    return positive & int.from_bytes(active[1::2], "little") != 0
+def _contradictory(active: bytearray, wires: int) -> bool:
+    # Both wires of an atom are on: its even and odd bytes share a set bit.
+    positive = int.from_bytes(active[:wires:2], "little")
+    return positive & int.from_bytes(active[1:wires:2], "little") != 0
 
 
 def propagate(
@@ -196,9 +197,7 @@ def propagate(
         gen_id: tuple(sel) for gen_id, sel in (choices or {}).items()
     }
     active, pending = _initial(circuit, inputs)
-    unresolved = _fixpoint(
-        circuit, active, pending, set(), normalized, scorers or {}
-    )
+    unresolved = _fixpoint(circuit, active, pending, normalized, scorers or {})
     if unresolved:
         gen = circuit.generators[unresolved[0]]
         raise UnresolvedGeneratorError(
@@ -235,9 +234,10 @@ def enumerate_models(
 ) -> list[Model]:
     """All consistent models reachable by resolving every generator.
 
-    Branches follow generator declaration order with alternatives in source
-    order; contradictory branches are pruned as soon as both channels of an
-    atom are active. The result is deduplicated by atom values and sorted.
+    Branches follow generator declaration order with alternatives in
+    canonical literal order (for `1{b; a}1.`, selection (0,) takes a);
+    contradictory branches are pruned as soon as both channels of an atom
+    are active. The result is deduplicated by atom values and sorted.
     """
     scorers = scorers or {}
     bits = sum(math.log2(_branch_count(gen, scorers)) for gen in circuit.generators)
@@ -250,25 +250,27 @@ def enumerate_models(
 
     # Depth-first, first alternative first. Propagation is monotone, so a
     # branch extends a copy of its parent's fixpoint by the selected channels.
-    # Distinct consistent states are distinct models; the first state found
-    # keeps its choices as provenance.
+    # Distinct consistent states are distinct models, as a leaf's ready bytes
+    # follow from its atom wires; the first found keeps its choices as provenance.
+    wires = len(circuit.index.names)
     found: dict[bytes, dict[str, tuple[int, ...]]] = {}
-    stack = [(*_initial(circuit, inputs), set(), {})]
+    stack = [(*_initial(circuit, inputs), {})]
     while stack:
-        active, pending, applied, choices = stack.pop()
-        unresolved = _fixpoint(circuit, active, pending, applied, {}, scorers)
-        if _contradictory(active):
+        active, pending, choices = stack.pop()
+        unresolved = _fixpoint(circuit, active, pending, {}, scorers)
+        if _contradictory(active, wires):
             continue
         if not unresolved:
             found.setdefault(bytes(active), choices)
             continue
         g = unresolved[0]
         gen = circuit.generators[g]
+        active[wires + g] = 2  # every branch resolves g
         for selection in reversed(_selections(gen)):
             branch, new = bytearray(active), []
             for i in selection:
                 _activate(branch, new, circuit.index.alternatives[g][i])
-            stack.append((branch, new, applied | {g}, {**choices, gen.id: selection}))
+            stack.append((branch, new, {**choices, gen.id: selection}))
     models = [
         Model(tuple(compress(circuit.index.values, state)), tuple(sorted(c.items())))
         for state, c in found.items()

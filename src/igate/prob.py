@@ -122,7 +122,7 @@ def enumerate_worlds(
     # Weighted programs have no generators and propagation is monotone, so
     # every world extends the fixpoint of the facts by its switches.
     facts, pending = _initial(circuit, ())
-    _fixpoint(circuit, facts, pending, set(), {}, {})
+    _fixpoint(circuit, facts, pending, {}, {})
     worlds: list[WeightedWorld] = []
     for bits in itertools.product((False, True), repeat=len(switches)):
         weight = 1.0
@@ -132,9 +132,9 @@ def enumerate_worlds(
             assignment.append((switch.id, on))
         active, pending = bytearray(facts), []
         _activate(active, pending, itertools.compress(channels, bits))
-        _fixpoint(circuit, active, pending, set(), {}, {})
+        _fixpoint(circuit, active, pending, {}, {})
         outcome = None
-        if not _contradictory(active):
+        if not _contradictory(active, len(circuit.index.names)):
             for c in channels:  # the switches stay out of the outcome
                 active[c] = 0
             outcome = Model(tuple(itertools.compress(circuit.index.values, active)))
@@ -282,6 +282,8 @@ class JointTable:
     def __post_init__(self):
         if len(self.masses) != 2 ** len(self.props):
             raise ProbabilityError("mass vector does not match proposition count")
+        if not all(map(math.isfinite, self.masses)):
+            raise ProbabilityError("masses must be finite")
         if any(m < 0 for m in self.masses):
             raise ProbabilityError("masses must be non-negative")
         if abs(sum(self.masses) - 1.0) > 1e-9:

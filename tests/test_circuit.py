@@ -263,7 +263,7 @@ def _complement(name):
 
 class TestChannelIndex:
     def test_index_agrees_with_the_named_circuit(self):
-        weighted = 0
+        weighted = guarded = unguarded = 0
         for circuit in _index_circuits(77):
             index = circuit.index
             names, ids = index.names, index.ids
@@ -276,25 +276,43 @@ class TestChannelIndex:
                 assert ids[name] == c
                 assert names[c ^ 1] == _complement(name)
                 assert index.values[c] == (names[c & ~1], c % 2 == 0)
-            expected = [[] for _ in names]
-            for gate in circuit.gates:
-                inputs = tuple(ids[c] for c in gate.inputs)
-                needs = inputs if gate.kind == "and" and len(inputs) > 1 else ()
+            # One watch slot per channel, then one per generator's ready wire;
+            # a guard is an AND entry into the ready wire, and an unguarded
+            # generator's ready wire is a fact.
+            wires = len(names)
+            expected = [[] for _ in range(wires + len(circuit.generators))]
+            nodes = [(g.kind, g.inputs, ids[g.output]) for g in circuit.gates]
+            for g, gen in enumerate(circuit.generators):
+                nodes.append(("and", gen.guard, wires + g))
+            for kind, channels, output in nodes:
+                inputs = tuple(ids[c] for c in channels)
+                needs = inputs if kind == "and" and len(inputs) > 1 else ()
                 for c in inputs:
-                    expected[c].append((ids[gate.output], needs))
+                    expected[c].append((output, needs))
             assert index.watch == expected
-            assert sorted(names[c] for c in index.facts) == sorted(circuit.facts)
-            assert len(index.guards) == len(index.alternatives) == len(
-                circuit.generators
+            generators = enumerate(circuit.generators)
+            ready = [wires + g for g, gen in generators if not gen.guard]
+            assert sorted(index.facts) == sorted(
+                [ids[c] for c in circuit.facts] + ready
             )
-            for gen, guard, alternatives in zip(
-                circuit.generators, index.guards, index.alternatives
-            ):
-                assert tuple(names[c] for c in guard) == gen.guard
+            guarded += len(circuit.generators) - len(ready)
+            unguarded += len(ready)
+            assert len(index.alternatives) == len(circuit.generators)
+            for gen, alternatives in zip(circuit.generators, index.alternatives):
                 assert len(alternatives) == len(gen.alternatives)
                 for alt_ids, alt in zip(alternatives, gen.alternatives):
                     assert sorted(names[c] for c in alt_ids) == sorted(alt)
-        assert weighted > 0
+        assert weighted > 0 and guarded > 0 and unguarded > 0
+
+    def test_ready_wires_follow_the_channels(self):
+        circuit = compiled("1{a; b}1. x; y :- a. p ^ q :- a, -b.")
+        index = circuit.index
+        assert len(index.names) == 12  # a, b, p, q, x, y
+        assert [gen.guard for gen in circuit.generators] == [("a", "-b"), ("a",), ()]
+        assert index.watch[12:] == [[], [], []]
+        assert index.watch[0] == [(12, (0, 3)), (13, ())]
+        assert index.watch[3] == [(12, (0, 3))]
+        assert sorted(index.facts) == [14]
 
     def test_circuit_without_channels(self):
         circuit = compiled("")

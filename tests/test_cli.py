@@ -1,7 +1,9 @@
 """Exit-code contract, output formats, and schema validation for `ig`."""
 
 import io
+import itertools
 import json
+import math
 import random
 from importlib import resources
 from pathlib import Path
@@ -55,6 +57,20 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         code, _ = dispatch(["models", "--frobnicate", "x.ig"])
         assert code == 1
+
+    def test_unwritable_dot_is_usage_error(self, tmp_path):
+        target = str(tmp_path / "missing" / "x.dot")
+        code, out, err = run(["compile", str(PROGRAMS / "car.ig"), "--dot", target])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ig: cannot write {target}: No such file")
+
+    def test_unwritable_emit_is_usage_error(self, tmp_path):
+        episodes = generate_planted_episodes(n_episodes=100, seed=7)
+        ep_path = write(tmp_path, "eps.jsonl", dump_episodes_jsonl(episodes))
+        target = str(tmp_path / "missing" / "out.ig")
+        code, _, err = run(["learn", ep_path, "--emit", target])
+        assert code == 1
+        assert err.startswith(f"ig: cannot write {target}: No such file")
 
     def test_missing_subcommand(self):
         assert dispatch([])[0] == 1
@@ -189,6 +205,32 @@ class TestSubcommands:
         path = write(tmp_path, "t.json", json.dumps(table))
         code, _ = dispatch(["formulas", "--table", path, "--form", "1"])
         assert code == 2
+
+    def test_formulas_reject_a_nan_mass(self, tmp_path):
+        # NaN passes both the sign and the sum test, so it needs its own check.
+        table = {
+            ",".join(f"{p}={b}" for p, b in zip("abpq", bits)): 1 / 16
+            for bits in itertools.product("01", repeat=4)
+        }
+        table["a=1,b=1,p=1,q=1"] = math.nan
+        path = write(tmp_path, "t.json", json.dumps(table))
+        for flags in (["--form", "1"], ["--compare"]):
+            code, out, err = run(["formulas", "--table", path, *flags])
+            assert (code, out) == (2, "")
+            assert err == "ig: masses must be finite\n"
+
+    def test_formulas_print_negative_values_like_positive_ones(self, tmp_path):
+        table = {
+            "a=1,b=1,p=1": 0.01,
+            "a=1,b=0,p=0": 0.49,
+            "a=0,b=1,p=0": 0.49,
+            "a=0,b=0,p=0": 0.01,
+        }
+        path = write(tmp_path, "t.json", json.dumps(table))
+        code, out = dispatch(["formulas", "--table", path, "--form", "2"])
+        assert (code, out) == (0, "-0.960000000000\n")
+        code, out = dispatch(["formulas", "--table", path, "--compare"])
+        assert "form 2: literal -0.960000000000  oracle 0.010101010101" in out
 
     def test_parse_json_matches_schema(self, tmp_path):
         path = write(tmp_path, "p.ig", "#entity rex.\ndog(rex).\np :- a, b.")

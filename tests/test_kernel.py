@@ -6,7 +6,8 @@ channel sets, with the string helpers the kernel used before it ran on
 integer channel ids. Propagation and model search must agree with it
 (active sets, errors, model order and provenance), and weighted worlds
 must agree world by world with a reference that recompiles the enabled
-statements of every world.
+statements of every world. A generator's ready wire must follow its guard
+and record whether it was resolved.
 """
 
 import itertools
@@ -20,6 +21,8 @@ from igate.circuit import Generator, compile_program
 from igate.digital import (
     Model,
     _branch_count,
+    _fixpoint,
+    _initial,
     _score_alternative,
     _selections,
     _validate_selection,
@@ -254,6 +257,29 @@ class TestKernelAgainstSweep:
         )
         with pytest.raises(ValueError, match="unknown channel"):
             enumerate_models(circuit, inputs=["zz"])
+
+
+class TestReadyWires:
+    def test_ready_bytes_follow_guards_and_resolutions(self):
+        # After a fixpoint, generator g's ready byte is non-zero exactly when
+        # its whole guard is active, and 2 exactly when g was resolved.
+        rng = random.Random(907)
+        for program, circuit in circuits(908, 200):
+            inputs = random_inputs(rng, circuit)
+            choices = random_choices(rng, circuit)
+            scorers = random_scorers(rng, circuit)
+            active, pending = _initial(circuit, inputs)
+            unresolved = _fixpoint(circuit, active, pending, choices, scorers)
+            ids, wires = circuit.index.ids, len(circuit.index.names)
+            assert len(active) == wires + len(circuit.generators)
+            for g, gen in enumerate(circuit.generators):
+                ready = all(active[ids[c]] for c in gen.guard)
+                resolved = gen.id in choices or gen.scorer_id in scorers
+                byte = active[wires + g]
+                assert (byte != 0) == ready, format_program(program)
+                assert (byte == 2) == (ready and resolved), format_program(program)
+                assert (g in unresolved) == (byte == 1), format_program(program)
+            assert unresolved == sorted(unresolved)
 
 
 class TestWorldsAgainstRecompile:

@@ -412,6 +412,14 @@ class TestJointTable:
         with pytest.raises(ProbabilityError, match="non-negative"):
             JointTable(("a",), (-0.5, 1.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_masses_rejected(self, bad):
+        # NaN fails both the sign and the sum test, so it needs its own check.
+        with pytest.raises(ProbabilityError, match="finite"):
+            JointTable(("a",), (bad, 1.0))
+        with pytest.raises(ProbabilityError, match="finite"):
+            JointTable.from_json('{"a=1,b=1": NaN, "a=0,b=0": 1.0}')
+
     def test_bad_assignment_string(self):
         with pytest.raises(ProbabilityError, match="name=0"):
             JointTable.from_dict({"a=2": 1.0})
