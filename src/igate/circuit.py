@@ -23,7 +23,7 @@ from .dsl import (
     Program,
     Rule,
     atom_literal,
-    canonicalize,
+    canonical_statements,
 )
 from .errors import CircuitError
 
@@ -207,11 +207,7 @@ def _gate(kind: str, inputs: tuple[str, ...], output: str) -> Gate | None:
 
 
 def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
-    """Wire a ground program into a Circuit.
-
-    This is the one place the wiring order is fixed: the program is put in
-    canonical order first, so gates and generators (gen0, gen1, ...) are
-    numbered the same whatever the order of its statements.
+    """Wire a ground program into a Circuit, in one pass over its statements.
 
     Conjunctive bodies become AND gates, disjunctive bodies OR gates, with
     one gate per head conjunct. Disjunctive heads become guarded generators
@@ -220,56 +216,78 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     generators, facts become unconditionally active channels. Probability
     annotations are ignored; `igate.prob` turns them into switch channels
     before compiling.
+
+    Rules and constraints are wired in statement order, and identical
+    unweighted ones (after literal dedup) are wired once, so the gate count
+    does not depend on the order. Only the statements that become
+    generators are put in canonical order, so generators (gen0, gen1, ...)
+    are numbered the same whatever the order of the statements.
     """
-    if not program.is_ground:
-        raise CircuitError("compilation requires a ground program; ground it first")
-
-    statements: list = []
-    for stmt in canonicalize(program).statements:
-        if isinstance(stmt, Constraint):
-            statements.extend(complete_constraint(stmt))
-        else:
-            statements.append(stmt)
-
-    atoms = {lit.atom_name for stmt in statements for lit in stmt.literals()}
+    atoms: set[str] = set()
     gates: list[Gate] = []
-    generators: list[tuple] = []  # Generator fields after the id
     facts: set[str] = set()
+    wired: set = set()  # order-free keys of the unweighted rules and constraints
+    generative: list = []  # choices and rules with a disjunctive head
 
-    for stmt in statements:
+    for stmt in program.statements:
+        for lit in stmt.literals():
+            if not lit.is_ground:
+                raise CircuitError(
+                    "compilation requires a ground program; ground it first"
+                )
+            atoms.add(lit.atom_name)
+        if isinstance(stmt, Choice):
+            generative.append(stmt)
+            continue
+        if isinstance(stmt, Constraint):
+            body = frozenset(stmt.body)
+            if body not in wired:
+                wired.add(body)
+                for rule in complete_constraint(Constraint(tuple(body))):
+                    out = rule.head[0].channel
+                    if not rule.body:
+                        facts.add(out)
+                    elif gate := _gate(AND, tuple(l.channel for l in rule.body), out):
+                        gates.append(gate)
+            continue
+        rule: Rule = stmt
+        if rule.head_connective in (OR, XOR) and len(set(rule.head)) > 1:
+            generative.append(rule)
+            continue
+        heads = dict.fromkeys([l.channel for l in rule.head])
+        if not rule.body:
+            facts.update(heads)
+            continue
+        inputs = tuple(dict.fromkeys([l.channel for l in rule.body]))
+        kind = OR if rule.body_connective == OR and len(inputs) > 1 else AND
+        if rule.probability is None:  # weighted rules never merge
+            key = (frozenset(heads), frozenset(inputs), kind)
+            if key in wired:
+                continue
+            wired.add(key)
+        for out in heads:
+            if gate := _gate(kind, inputs, out):
+                gates.append(gate)
+
+    generators: list[tuple] = []  # Generator fields after the id
+    for stmt in canonical_statements(generative):
         if isinstance(stmt, Choice):
             alternatives = tuple(frozenset({l.channel}) for l in stmt.literals_)
             generators.append((alternatives, EXACTLY_ONE, (), None))
             continue
-
-        rule: Rule = stmt
-        head_channels = tuple(l.channel for l in rule.head)
-        body_channels = tuple(l.channel for l in rule.body)
-
-        if rule.head_connective in (OR, XOR):
-            alternatives = tuple(frozenset({c}) for c in head_channels)
-            cardinality = EXACTLY_ONE if rule.head_connective == XOR else NONEMPTY_SUBSET
-            scorer = xor_scorer if rule.head_connective == XOR else None
-            # Disjunctive bodies split into one guard per disjunct, the
-            # equivalent conjunction-free form.
-            guards = (
-                [(c,) for c in body_channels]
-                if rule.body_connective == OR
-                else [body_channels]
-            )
-            for guard in guards:
-                generators.append((alternatives, cardinality, guard, scorer))
-            continue
-
-        if rule.is_fact:
-            facts.update(head_channels)
-            continue
-
-        kind = OR if rule.body_connective == OR else AND
-        for out in head_channels:
-            gate = _gate(kind, body_channels, out)
-            if gate is not None:
-                gates.append(gate)
+        alternatives = tuple(frozenset({l.channel}) for l in stmt.head)
+        cardinality = EXACTLY_ONE if stmt.head_connective == XOR else NONEMPTY_SUBSET
+        scorer = xor_scorer if stmt.head_connective == XOR else None
+        body_channels = tuple(l.channel for l in stmt.body)
+        # Disjunctive bodies split into one guard per disjunct, the
+        # equivalent conjunction-free form.
+        guards = (
+            [(c,) for c in body_channels]
+            if stmt.body_connective == OR
+            else [body_channels]
+        )
+        for guard in guards:
+            generators.append((alternatives, cardinality, guard, scorer))
 
     return Circuit(
         channels=frozenset(atoms).union("-" + a for a in atoms),
@@ -285,7 +303,11 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
 
 def export_dot(circuit: Circuit) -> str:
     """Graphviz text form: channels as ellipses (negative dashed), gates as
-    boxes, generators as diamonds; only referenced channels are drawn."""
+    boxes, generators as diamonds; only referenced channels are drawn.
+
+    Gates are drawn in the order of the statements they were wired from;
+    compile a canonicalized program (`ig compile --dot` does) to draw the
+    same text whatever the order of the source statements."""
     referenced: set[str] = set(circuit.facts)
     for gate in circuit.gates:
         referenced.update(gate.inputs)

@@ -49,6 +49,23 @@ def _write_file(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# Flags whose values are literals, which may start with "-" ("--query -a").
+_LITERAL_FLAGS = ("--query", "--given", "--set")
+
+
+def _attach_literal_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--query -a" as "--query=-a", which argparse would otherwise
+    read as two flags. A following "--flag" is left alone, so a missing
+    value stays a usage error."""
+    args, i = list(argv), 0
+    while i + 1 < len(args) and args[i] != "--":
+        value = args[i + 1]
+        if args[i] in _LITERAL_FLAGS and value[:1] == "-" and value[:2] != "--":
+            args[i : i + 2] = [f"{args[i]}={value}"]
+        i += 1
+    return args
+
+
 def _load_program(path: str) -> dsl.Program:
     return dsl.parse_program(_read_file(path))
 
@@ -117,6 +134,8 @@ def _cmd_ground(args, out) -> int:
 
 def _cmd_compile(args, out) -> int:
     program = grounding.ground_program(_load_program(args.file), args.max_ground)
+    if args.dot:  # gates are drawn in statement order; draw them in canonical order
+        program = dsl.canonicalize(program)
     compiled = circuit_mod.compile_program(program)
     if args.dot:
         _write_file(args.dot, circuit_mod.export_dot(compiled))
@@ -413,7 +432,7 @@ def _dispatch(argv: Sequence[str], out, err) -> int:
     parser = _build_parser()
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(list(argv))
+            args = parser.parse_args(_attach_literal_values(argv))
     except _UsageError as exc:
         print(f"ig: {exc}", file=err)
         return 1

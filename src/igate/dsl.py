@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -529,19 +529,23 @@ def _statement_sort_key(stmt: Statement) -> tuple:
     return (_KIND_RANK[type(stmt)], str(stmt))
 
 
-def canonicalize(program: Program) -> Program:
-    """Sorted form with normalized literal order per statement. Identical
+def canonical_statements(statements: Iterable[Statement]) -> tuple[Statement, ...]:
+    """The statements with normalized literal order, sorted. Identical
     unweighted statements merge; every weighted one stays, since each
     annotated statement owns a switch of its own."""
     seen: dict[Statement, None] = {}
     weighted = []
-    for stmt in map(canonicalize_statement, program.statements):
+    for stmt in map(canonicalize_statement, statements):
         if isinstance(stmt, Rule) and stmt.probability is not None:
             weighted.append(stmt)
         else:
             seen.setdefault(stmt, None)
-    ordered = tuple(sorted([*seen, *weighted], key=_statement_sort_key))
-    return Program(ordered, program.domain)
+    return tuple(sorted([*seen, *weighted], key=_statement_sort_key))
+
+
+def canonicalize(program: Program) -> Program:
+    """The program with its statements in canonical form and order."""
+    return Program(canonical_statements(program.statements), program.domain)
 
 
 def format_program(program: Program) -> str:

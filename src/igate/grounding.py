@@ -15,8 +15,9 @@ statement's size from that shape and checks the statement limit before
 costs neither the time nor the memory of its expansion.
 
 The ground statements come back in the order they are built and may
-repeat; the code that reads statement order (`compile_program`,
-`format_program`) puts them in canonical order itself.
+repeat. `format_program` puts them in canonical order itself;
+`compile_program` wires them as they come, merging repeats, and sorts only
+the statements that become generators.
 """
 
 from __future__ import annotations

@@ -180,6 +180,35 @@ class TestSubcommands:
         )
         assert (code, out) == (0, "0.300000000000\n")
 
+    def test_negative_literal_as_a_separate_value(self, tmp_path):
+        # "--query -a" reads like "--query=-a", not as two flags.
+        prob_ig = str(PROGRAMS / "prob.ig")
+        for separate, attached in (
+            (["--query", "-a"], ["--query=-a"]),
+            (["--query", "-b", "--given", "a"], ["--query=-b", "--given=a"]),
+            (["--query", "c", "--given", "-a,-b"], ["--query=c", "--given=-a,-b"]),
+        ):
+            got = run(["prob", prob_ig, *separate])
+            assert got == run(["prob", prob_ig, *attached])
+            assert got[0] == 0
+        assert run(["prob", prob_ig, "--query", "-a"])[1] == "0.500000000000\n"
+        path = write(tmp_path, "p.ig", "p :- -a. a :- b.")
+        got = run(["eval", path, "--set", "-a=true"])
+        assert got == run(["eval", path, "--set=-a=true"])
+        assert "a: false" in got[1] and "p: true" in got[1]
+
+    def test_missing_literal_value_is_a_usage_error(self, tmp_path):
+        prob_ig = str(PROGRAMS / "prob.ig")
+        for argv in (
+            ["prob", prob_ig, "--query", "--given", "b"],
+            ["prob", prob_ig, "--query", "b", "--given"],
+            ["prob", prob_ig, "--query"],
+            ["eval", prob_ig, "--set"],
+        ):
+            code, out, err = run(argv)
+            assert (code, out) == (1, ""), argv
+            assert "expected one argument" in err
+
     def test_formulas_compare_json_matches_schema(self, tmp_path):
         table = {
             "a=1,b=0,p=1": 0.25,
@@ -488,7 +517,7 @@ class TestStatementOrder:
         errors in source order. One program in five repeats a statement,
         which the canonical text writes once. The `prob` runs include
         programs with both choices and disjunctive heads, so which error
-        fires first is checked too.
+        fires first is checked too. `compile --dot` writes the same bytes.
         """
         rng = random.Random(515)
         makers = (
@@ -497,6 +526,7 @@ class TestStatementOrder:
             random_weighted_program,
         )
         checked = 0
+        dot = tmp_path / "circuit.dot"
         for index in range(150):
             program = makers[index % 3](rng)
             if rng.random() < 0.2:
@@ -517,13 +547,19 @@ class TestStatementOrder:
                 ["format"],
                 ["ground"],
                 ["compile"],
+                ["compile", "--dot", str(dot)],
                 ["models"],
                 ["models", "--classical"],
                 ["eval"],
                 ["prob", *prob_flags],
             ):
-                expected = run([command[0], canonical, *command[1:]])
-                got = run([command[0], shuffled, *command[1:]])
-                assert got == expected, (command, text)
+                outputs = []
+                for source in (canonical, shuffled):
+                    dot.unlink(missing_ok=True)
+                    result = run([command[0], source, *command[1:]])
+                    drawn = dot.read_bytes() if dot.exists() else None
+                    outputs.append((result, drawn))
+                assert outputs[1] == outputs[0], (command, text)
+                assert (drawn is not None) == ("--dot" in command)
             checked += 1
         assert checked > 100

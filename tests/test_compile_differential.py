@@ -1,0 +1,321 @@
+"""Differential tests of the one-pass compiler against the code it replaced.
+
+`canonical_compile` is the former `compile_program`, kept here as a
+reference: it puts the whole program in canonical order, then wires it.
+The one-pass compiler wires rules and constraints in statement order and
+sorts only the statements that become generators. On random ground,
+first-order (grounded) and weighted programs, compiled as written and as
+the weighted engine switches them, after their statements are shuffled,
+repeated and rewritten with repeated literals, both must give the same
+channels, facts, generators, gate multiset, gate count, models with
+provenance, DOT text (of the canonicalized program) and errors.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from igate.circuit import (
+    EXACTLY_ONE,
+    NONEMPTY_SUBSET,
+    Circuit,
+    Gate,
+    Generator,
+    _gate,
+    compile_program,
+    complete_constraint,
+    export_dot,
+)
+from igate.digital import enumerate_models
+from igate.dsl import (
+    AND,
+    OR,
+    XOR,
+    Choice,
+    Constraint,
+    Literal,
+    Program,
+    Rule,
+    Term,
+    canonicalize,
+    format_program,
+    parse_program,
+)
+from igate.errors import CircuitError, GuardError, IgateError
+from igate.grounding import ground_program
+from igate.prob import _split_statements, _switched
+
+from oracles import (
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
+
+SCORER = "pick"
+
+
+# ---------------------------------------------------------------------------
+# Reference
+# ---------------------------------------------------------------------------
+
+def canonical_compile(program: Program, xor_scorer: str | None = None) -> Circuit:
+    """Wire a ground program into a Circuit, after putting it in canonical
+    order, so gates and generators are numbered the same whatever the order
+    of its statements."""
+    if not program.is_ground:
+        raise CircuitError("compilation requires a ground program; ground it first")
+
+    statements: list = []
+    for stmt in canonicalize(program).statements:
+        if isinstance(stmt, Constraint):
+            statements.extend(complete_constraint(stmt))
+        else:
+            statements.append(stmt)
+
+    atoms = {lit.atom_name for stmt in statements for lit in stmt.literals()}
+    gates: list[Gate] = []
+    generators: list[tuple] = []  # Generator fields after the id
+    facts: set[str] = set()
+
+    for stmt in statements:
+        if isinstance(stmt, Choice):
+            alternatives = tuple(frozenset({l.channel}) for l in stmt.literals_)
+            generators.append((alternatives, EXACTLY_ONE, (), None))
+            continue
+
+        rule: Rule = stmt
+        head_channels = tuple(l.channel for l in rule.head)
+        body_channels = tuple(l.channel for l in rule.body)
+
+        if rule.head_connective in (OR, XOR):
+            alternatives = tuple(frozenset({c}) for c in head_channels)
+            cardinality = EXACTLY_ONE if rule.head_connective == XOR else NONEMPTY_SUBSET
+            scorer = xor_scorer if rule.head_connective == XOR else None
+            guards = (
+                [(c,) for c in body_channels]
+                if rule.body_connective == OR
+                else [body_channels]
+            )
+            for guard in guards:
+                generators.append((alternatives, cardinality, guard, scorer))
+            continue
+
+        if rule.is_fact:
+            facts.update(head_channels)
+            continue
+
+        kind = OR if rule.body_connective == OR else AND
+        for out in head_channels:
+            gate = _gate(kind, body_channels, out)
+            if gate is not None:
+                gates.append(gate)
+
+    return Circuit(
+        channels=frozenset(atoms).union("-" + a for a in atoms),
+        gates=tuple(gates),
+        generators=tuple(Generator(f"gen{g}", *s) for g, s in enumerate(generators)),
+        facts=frozenset(facts),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Random programs
+# ---------------------------------------------------------------------------
+
+def switched(program: Program) -> Program:
+    """The deterministic program the weighted engine compiles."""
+    deterministic, annotated = _split_statements(program)
+    for stmt, switch in annotated:
+        deterministic.extend(_switched(stmt, switch))
+    return Program(tuple(deterministic), program.domain)
+
+
+def _copy(lit: Literal) -> Literal:
+    # An equal literal that is not the same object, as a caller may build.
+    return Literal(lit.predicate, lit.args, lit.negative)
+
+
+def _scramble_side(rng, literals, connective):
+    """The literals in a random order, some repeated, and a connective that
+    reads the same once the repeats are removed."""
+    literals = list(literals)
+    if literals and rng.random() < 0.3:
+        literals.append(_copy(rng.choice(literals)))
+    rng.shuffle(literals)
+    if len(set(literals)) == 1 and len(literals) > 1:
+        connective = rng.choice((AND, OR))
+    return tuple(literals), connective
+
+
+def scramble(rng: random.Random, program: Program) -> Program:
+    """The program shuffled, with repeated statements and literals."""
+    statements = []
+    for stmt in program.statements:
+        if isinstance(stmt, Rule):
+            head, head_conn = _scramble_side(rng, stmt.head, stmt.head_connective)
+            if len(set(head)) == 1 and len(head) > 1:
+                head_conn = rng.choice((AND, OR, XOR))
+            body, body_conn = _scramble_side(rng, stmt.body, stmt.body_connective)
+            stmt = Rule(head, body, head_conn, body_conn, stmt.probability)
+        elif isinstance(stmt, Constraint):
+            stmt = Constraint(_scramble_side(rng, stmt.body, AND)[0])
+        elif rng.random() < 0.5:  # a choice keeps distinct alternatives
+            stmt = Choice(tuple(rng.sample(stmt.literals_, len(stmt.literals_))))
+        statements.append(stmt)
+    for _ in range(rng.randint(0, 2)):
+        if statements:
+            statements.append(rng.choice(statements))
+    rng.shuffle(statements)
+    return Program(tuple(statements), program.domain)
+
+
+def programs(seed: int, count: int):
+    """Ground programs from the three random suites, most of them scrambled."""
+    rng = random.Random(seed)
+    for index in range(count):
+        kind = index % 4
+        if kind == 0:
+            program = random_ground_program(rng)
+        elif kind == 1:
+            program = ground_program(random_first_order_program(rng))
+        elif kind == 2:
+            program = random_weighted_program(rng)
+        else:
+            program = switched(ground_program(random_weighted_program(rng)))
+        yield scramble(rng, program) if rng.random() < 0.7 else program
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+def outcome(compile_, program, xor_scorer=None):
+    try:
+        return compile_(program, xor_scorer)
+    except (IgateError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def gate_multiset(circuit: Circuit) -> Counter:
+    return Counter((g.kind, frozenset(g.inputs), g.output) for g in circuit.gates)
+
+
+def models(circuit: Circuit):
+    try:
+        found = enumerate_models(circuit, 14, {SCORER: lambda alt: len(min(alt))})
+    except GuardError as exc:
+        return str(exc)
+    return [(m.assignment, m.provenance) for m in found]
+
+
+def assert_same_circuit(program: Program, xor_scorer=None) -> None:
+    got = outcome(compile_program, program, xor_scorer)
+    expected = outcome(canonical_compile, program, xor_scorer)
+    text = "\n".join(map(str, program.statements))
+    if not isinstance(expected, Circuit):
+        assert got == expected, text
+        return
+    assert got.channels == expected.channels, text
+    assert got.facts == expected.facts, text
+    assert got.generators == expected.generators, text
+    assert len(got.gates) == len(expected.gates), text
+    assert gate_multiset(got) == gate_multiset(expected), text
+    assert models(got) == models(expected), text
+    drawn = export_dot(compile_program(canonicalize(program), xor_scorer))
+    assert drawn == export_dot(expected), text
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+class TestOnePassAgainstCanonicalCompile:
+    def test_random_programs(self):
+        rng = random.Random(1201)
+        checked = 0
+        for program in programs(1202, 640):
+            assert_same_circuit(program, SCORER if rng.random() < 0.5 else None)
+            checked += 1
+        assert checked >= 500
+
+    def test_errors_match(self):
+        a, b = Literal("a"), Literal("b")
+        x = Literal("p", (Term("X"),))
+        for program in (
+            Program((Choice((a, _copy(a))),)),  # one alternative once deduplicated
+            Program((Rule((a,)), Rule((x,)))),  # not ground
+            Program((Choice((a, a)), Constraint((x,)))),  # non-ground wins
+            Program((Rule((b,)), Choice((b, b)), Choice((a, a)))),
+        ):
+            got = outcome(compile_program, program)
+            assert not isinstance(got, Circuit)
+            assert got == outcome(canonical_compile, program)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "a :- b; b.",
+            ":- c, c.",
+            "a; a :- b.",
+            "a ^ a :- b. a, a :- b, b. a :- b.",
+            "a :- b. 0.5 :: a :- b. 0.5 :: a :- b.",
+            ":- a, b. :- b, a. -a :- b.",
+            "b ^ a :- c. a ^ b :- c. 1{b; a}1. 1{a; b}1. a; b :- c; d.",
+            "0.3 :: a; b. 0.3 :: b; a. a; b.",
+            ":- a, -a. a :- a. a :- a; b.",
+        ],
+    )
+    def test_edge_cases(self, source):
+        program = parse_program(source)
+        assert_same_circuit(program)
+        statements = program.statements
+        assert_same_circuit(Program(statements[::-1], program.domain), SCORER)
+
+
+class TestEdgeCases:
+    def test_repeated_disjunct_body_is_one_and_gate(self):
+        circuit = compile_program(parse_program("a :- b; b."))
+        assert circuit.gates == (Gate(AND, ("b",), "a"),)
+
+    def test_repeated_constraint_literal_completes_to_a_fact(self):
+        circuit = compile_program(parse_program(":- c, c."))
+        assert circuit.gates == () and circuit.facts == {"-c"}
+
+    def test_repeated_disjunct_head_is_a_gate(self):
+        circuit = compile_program(parse_program("a; a :- b."))
+        assert circuit.generators == ()
+        assert circuit.gates == (Gate(AND, ("b",), "a"),)
+
+    def test_repeated_choice_alternative_is_refused(self):
+        a = Literal("a")
+        with pytest.raises(ValueError, match="at least two alternatives"):
+            compile_program(Program((Choice((a, _copy(a))),)))
+
+    def test_generators_are_numbered_in_canonical_order(self):
+        forward = parse_program("1{b; a}1. c ^ d :- a. e; f :- b.")
+        backward = Program(forward.statements[::-1])
+        assert (
+            compile_program(forward).generators
+            == compile_program(backward).generators
+            == canonical_compile(forward).generators
+        )
+        assert [g.guard for g in compile_program(backward).generators] == [
+            ("a",),
+            ("b",),
+            (),
+        ]
+
+    def test_identical_unweighted_rules_wire_once(self):
+        circuit = compile_program(parse_program("a :- b, c. a :- c, b, c. a, a :- c, b."))
+        assert len(circuit.gates) == 1
+        weighted = compile_program(parse_program("0.5 :: a :- b. 0.5 :: a :- b."))
+        assert len(weighted.gates) == 2
+
+    def test_dot_of_the_canonical_program_ignores_statement_order(self):
+        program = parse_program(":- a, b. p :- a, b. q :- p; a. 1{a; -a}1. r ^ s :- q.")
+        backward = Program(program.statements[::-1])
+        assert export_dot(compile_program(canonicalize(backward))) == export_dot(
+            canonical_compile(program)
+        )
+        assert format_program(program) == format_program(backward)
