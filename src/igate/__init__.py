@@ -55,6 +55,7 @@ from .learn import (
     RuleProposal,
     apply_proposal,
     count_associations,
+    decode_episodes_jsonl,
     generate_planted_episodes,
     load_episodes_jsonl,
     propose_rules,

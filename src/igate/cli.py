@@ -290,7 +290,7 @@ def _cmd_learn(args, out) -> int:
     for flag in ("theta_pos", "theta_neg", "theta_ctx"):
         if math.isnan(getattr(args, flag)):
             raise _UsageError(f"--{flag.replace('_', '-')} must be a number, got nan")
-    episodes = learn.load_episodes_jsonl(_read_file(args.episodes))
+    episodes = learn.decode_episodes_jsonl(_read_file(args.episodes))
     stats = learn.count_associations(episodes)
     proposals = learn.propose_rules(
         stats,
@@ -301,28 +301,20 @@ def _cmd_learn(args, out) -> int:
         k=args.top_k,
         include_duals=args.dual,
     )
-    evidence = [
-        {
-            "rule": str(p.rule),
-            "dual": str(p.dual) if p.dual else None,
-            "kind": p.kind,
-            "evidence": p.evidence.to_json(),
-        }
-        for p in proposals
-    ]
-    text_lines = []
-    for p in proposals:
-        text_lines.append(str(p.rule))
-        if p.dual is not None:
-            text_lines.append(str(p.dual))
-    text = "\n".join(text_lines) + ("\n" if text_lines else "")
-    if args.json:
-        print(json.dumps(evidence, indent=2), file=out)
-    else:
-        out.write(text)
+    rules = [(str(p.rule), None if p.dual is None else str(p.dual)) for p in proposals]
+    text = "".join(f"{rule}\n" if dual is None else f"{rule}\n{dual}\n" for rule, dual in rules)
+    if args.json or args.emit:
+        evidence = json.dumps(
+            [
+                {"rule": rule, "dual": dual, "kind": p.kind, "evidence": p.evidence.to_json()}
+                for p, (rule, dual) in zip(proposals, rules)
+            ],
+            indent=2,
+        )
+    out.write(f"{evidence}\n" if args.json else text)
     if args.emit:
         _write_file(args.emit, text)
-        _write_file(args.emit + ".evidence.json", json.dumps(evidence, indent=2) + "\n")
+        _write_file(args.emit + ".evidence.json", f"{evidence}\n")
     return 0
 
 

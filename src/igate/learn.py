@@ -23,27 +23,65 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dsl import AND, OR, SINGLE, Literal, Program, Rule, atom_literal
+from .errors import ParseError
 
 Episode = frozenset[str]
 
 
-def load_episodes_jsonl(text: str) -> list[Episode]:
-    """One JSON array of atom names per line; blank lines are skipped."""
+_JSON_SPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_episodes_jsonl(text: str) -> list[list[str]]:
+    """One JSON array of atom names per line, decoded as it is written (an
+    atom repeated in a line stays repeated); blank lines are skipped.
+
+    A line is one JSON document: leading and trailing JSON whitespace is
+    allowed, anything else after the array is an error. Errors name the
+    line of the file. A line that is not JSON or not a non-empty array is
+    reported first; then the first line holding an element that is not a
+    string, checked over the distinct elements of the whole file.
+    """
     episodes = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
+        try:
+            data, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        except json.JSONDecodeError:
+            end = -1
+        if end < 0 or line[end:].strip(_JSON_SPACE):
+            try:  # the error json.loads gives, placed at the file's line
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                exc.lineno = line_no
+                exc.args = (f"{exc.msg}: line {line_no} column {exc.colno}",)
+                raise
         if not isinstance(data, list) or not data:
             raise ValueError(f"line {line_no}: expected a non-empty JSON array")
-        episodes.append(frozenset(str(a) for a in data))
+        episodes.append(data)
+    try:
+        all_names = all(isinstance(atom, str) for atom in set(chain.from_iterable(episodes)))
+    except TypeError:  # an array or object element is unhashable
+        all_names = False
+    if not all_names:
+        lines = (n for n, line in enumerate(text.splitlines(), start=1) if line.strip())
+        for line_no, episode in zip(lines, episodes):
+            if not all(isinstance(atom, str) for atom in episode):
+                raise ValueError(f"line {line_no}: expected a JSON array of atom names")
     return episodes
+
+
+def load_episodes_jsonl(text: str) -> list[Episode]:
+    """The episodes of `decode_episodes_jsonl`, each as a set of atom names."""
+    return [frozenset(episode) for episode in decode_episodes_jsonl(text)]
 
 
 def dump_episodes_jsonl(episodes: Iterable[Episode]) -> str:
@@ -104,17 +142,24 @@ def _cosines(gram: np.ndarray, ia, ib, joint) -> np.ndarray:
     return np.divide(gram[ia, ib], norms, out=np.zeros_like(norms), where=norms != 0)
 
 
-def count_associations(episodes: Sequence[Episode]) -> AssociationStats:
-    """Exact atom and pairwise joint counts over the episodes."""
+def count_associations(episodes: Sequence[Collection[str]]) -> AssociationStats:
+    """Exact atom and pairwise joint counts over the episodes; an atom
+    repeated within an episode counts once.
+
+    The episodes are flattened into one list of names, which the sorted
+    distinct atoms turn into integer columns of the incidence matrix.
+    """
     if not episodes:
         raise ValueError("need at least one episode")
     if not all(episodes):
         raise ValueError("episodes must be non-empty")
-    atoms = tuple(sorted(set().union(*episodes)))
-    index = {atom: i for i, atom in enumerate(atoms)}
+    names = list(chain.from_iterable(episodes))
+    atoms = tuple(sorted(set(names)))
+    column = dict(zip(atoms, range(len(atoms))))
+    rows = np.repeat(np.arange(len(episodes)), list(map(len, episodes)))
+    columns = np.fromiter(map(column.__getitem__, names), np.intp, len(names))
     incidence = np.zeros((len(episodes), len(atoms)))
-    rows = np.repeat(np.arange(len(episodes)), [len(ep) for ep in episodes])
-    incidence[rows, [index[atom] for ep in episodes for atom in ep]] = 1.0
+    incidence[rows, columns] = 1.0
     counts = incidence.T @ incidence  # exact while counts stay below 2**53
     return AssociationStats(len(episodes), atoms, counts.astype(np.int64))
 
@@ -149,17 +194,21 @@ class RuleProposal:
     dual: Rule | None = None
 
 
+def _name_part(atom: str) -> str:
+    return re.sub(r"[^0-9a-zA-Z]+", "_", atom).strip("_").lower()
+
+
 def _fresh_name(prefix: str, atoms: Sequence[str]) -> str:
-    parts = [re.sub(r"[^0-9a-zA-Z]+", "_", a).strip("_").lower() for a in sorted(atoms)]
-    return "_".join([prefix, *parts])
+    """The head name of a proposal over the atoms."""
+    return "_".join([prefix, *map(_name_part, sorted(atoms))])
 
 
 def _proposed_rules(
-    kind: str, a: str, b: str, body: tuple[Literal, Literal], with_dual: bool
+    kind: str, parts: str, body: tuple[Literal, Literal], with_dual: bool
 ) -> tuple[Rule, Rule | None]:
     if kind == "generalization":
-        return Rule((Literal(_fresh_name("g", (a, b))),), body, SINGLE, OR), None
-    head = Literal(_fresh_name("m", (a, b)))
+        return Rule((Literal(f"g_{parts}"),), body, SINGLE, OR), None
+    head = Literal(f"m_{parts}")
     dual = Rule(body, (head,), AND, SINGLE) if with_dual else None
     return Rule((head,), body, SINGLE, AND), dual
 
@@ -207,10 +256,17 @@ def propose_rules(
     keep = ~(cosines < theta_ctx)  # negated tests, so a NaN threshold passes all
     general, cosines = general[keep], cosines[keep]
 
-    # Each atom of a proposed pair is parsed once, however many pairs it is in.
+    # Each atom of a proposed pair is parsed and named once, however many
+    # pairs it is in.
     pairs = np.concatenate((compounds, general))
-    used = set(ia[pairs].tolist() + ib[pairs].tolist())
-    literal = {n: atom_literal(stats.atoms[n]) for n in used}
+    literal, part = {}, {}
+    for n in sorted(set(ia[pairs].tolist() + ib[pairs].tolist())):
+        atom = stats.atoms[n]
+        try:
+            literal[n] = atom_literal(atom)
+        except ParseError as exc:
+            raise ParseError(f"cannot propose a rule over atom {atom!r}: {exc}") from None
+        part[n] = _name_part(atom)
     proposals: list[RuleProposal] = []
     for kind, picked, picked_cosines in (
         ("comprehension", compounds, [None] * len(compounds)),
@@ -220,7 +276,8 @@ def propose_rules(
         for i, j, x, y, both, score, cosine in zip(*columns, picked_cosines):
             a, b = stats.atoms[i], stats.atoms[j]
             body = (literal[i], literal[j])
-            rule, dual = _proposed_rules(kind, a, b, body, include_duals)
+            # The head is _fresh_name(prefix, (a, b)), as a < b.
+            rule, dual = _proposed_rules(kind, f"{part[i]}_{part[j]}", body, include_duals)
             evidence = Evidence(a, b, x, y, both, score if both else None, cosine)
             proposals.append(RuleProposal(rule, kind, score, evidence, dual))
 

@@ -448,6 +448,29 @@ class TestNeverCrashes:
         bad_eps = write(tmp_path, "bad.jsonl", '{"a": 1}\n')
         assert dispatch(["learn", bad_eps])[0] == 2
 
+    def test_malformed_episode_line_is_named(self, tmp_path):
+        bad = write(tmp_path, "bad.jsonl", '["a", "b"]\n\n["b"] ["a"]\n')
+        assert run(["learn", bad]) == (
+            2, "", "ig: JSONDecodeError: Extra data: line 3 column 7\n"
+        )
+
+    def test_episode_elements_must_be_atom_names(self, tmp_path):
+        # [1] was once read as the atom "1", an error only if it was proposed.
+        bad = write(tmp_path, "bad.jsonl", '["a", "b"]\n["a", 1]\n')
+        assert run(["learn", bad]) == (
+            2, "", "ig: ValueError: line 2: expected a JSON array of atom names\n"
+        )
+
+    def test_proposed_atom_that_does_not_parse_is_named(self, tmp_path):
+        episodes = [
+            frozenset("a b" if atom == "spark" else atom for atom in episode)
+            for episode in generate_planted_episodes(seed=7)
+        ]
+        path = write(tmp_path, "eps.jsonl", dump_episodes_jsonl(episodes))
+        code, out, err = run(["learn", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("ig: cannot propose a rule over atom 'a b': ")
+
 
 class TestDeterminism:
     def test_byte_identical_repeat_runs(self, tmp_path):
