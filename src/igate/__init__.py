@@ -3,10 +3,11 @@
 A small rule language is compiled into circuits of stateful channels,
 stateless AND/OR gates, and non-deterministic generators, then evaluated
 under three semantics: digital (Boolean fixpoint plus exhaustive model
-enumeration), probabilistic (weighted world enumeration and the six
-conditional-probability forms), and conceptual vectors (merge, contrast,
-fuse, detach). Rules are classified into four inferential mechanisms, and
-new rules can be induced from co-activation episodes.
+enumeration), probabilistic (queries as weighted model counts over BDDs of
+the switches, and the six conditional-probability forms over joint
+tables), and conceptual vectors (merge, contrast, fuse, detach). Rules are
+classified into four inferential mechanisms, and new rules can be induced
+from co-activation episodes.
 """
 
 from .circuit import (

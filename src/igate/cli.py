@@ -9,6 +9,7 @@ IG_MAX_CHOICES environment variable overrides the model-enumeration guard.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -220,16 +221,7 @@ def _cmd_formulas(args, out) -> int:
     if args.compare:
         comparisons = prob.compare_formulas(table)
         if args.json:
-            payload = [
-                {
-                    "form": c.form,
-                    "literal": c.literal,
-                    "oracle": c.oracle,
-                    "deviation": c.deviation,
-                    "note": c.note,
-                }
-                for c in comparisons
-            ]
+            payload = [dataclasses.asdict(c) for c in comparisons]
             print(json.dumps(payload, indent=2), file=out)
         else:
             for c in comparisons:

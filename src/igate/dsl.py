@@ -493,8 +493,11 @@ def parse_literal(text: str) -> Literal:
 
 
 def atom_literal(atom_name: str, negative: bool = False) -> Literal:
-    """Build a Literal back from a canonical atom name like "has(x,y)"."""
+    """Build a Literal back from a canonical atom name like "has(x,y)"; a
+    signed name such as "-a" is not an atom name."""
     lit = parse_literal(atom_name)
+    if lit.negative:
+        raise ParseError("an atom name carries no sign")
     return replace(lit, negative=negative)
 
 

@@ -18,6 +18,7 @@ deviations can be measured.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import Circuit, compile_program
 from .digital import Model, _activate, _contradictory, _fixpoint, _initial
-from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonicalize_statement
+from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonical_statements
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
 
@@ -76,7 +77,7 @@ def _split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]
         raise ProbabilityError(
             "probabilistic evaluation does not support choice statements"
         )
-    ordered = sorted(map(canonicalize_statement, weighted), key=str)
+    ordered = canonical_statements(weighted)
     return deterministic, [
         (stmt, Switch(f"s{i}", stmt.probability)) for i, stmt in enumerate(ordered)
     ]
@@ -301,6 +302,15 @@ class JointTable:
     def mass_where(self, event: Event) -> float:
         return sum(mass for values, mass in self.assignments() if event(values))
 
+    def rows(self, prop: str) -> int:
+        """The row mask of `prop`: bit r set for each row r where it holds."""
+        bit = self.props.index(prop)
+        return sum(1 << r for r in range(len(self.masses)) if r >> bit & 1)
+
+    def mass(self, rows: int) -> float:
+        """Total mass of the rows in a row mask, summed in row order."""
+        return sum(m for r, m in enumerate(self.masses) if rows >> r & 1)
+
     @classmethod
     def from_dict(cls, table: Mapping[str, float]) -> JointTable:
         """Build from {"a=1,b=0": mass, ...}; omitted assignments get 0."""
@@ -350,23 +360,45 @@ def oracle_conditional(table: JointTable, event: Event, condition: Event) -> flo
     return joint / denominator
 
 
-def _p(table: JointTable, event: Event, condition: Event, label: str) -> float:
-    denominator = table.mass_where(condition)
-    if denominator <= 0.0:
+def _form(form: int, table: JointTable) -> tuple[Callable[[], float], tuple[int, int]]:
+    """One dependency form over `table`: its literal right-hand side, which
+    evaluates its conditionals left to right when called, and the (event,
+    condition) it is meant to express, as row masks. V, used by the forms
+    that combine on the conditioning side, reads a zero-mass condition as
+    a vacuous disjunct where P raises."""
+
+    def P(event: int, condition: int, label: str, vacuous: bool = False) -> float:
+        denominator = table.mass(condition)
+        if denominator > 0.0:
+            return table.mass(event & condition) / denominator
+        if vacuous:
+            return 0.0
         raise ProbabilityError(f"zero-mass conditioning sub-term {label}")
-    return table.mass_where(lambda v: event(v) and condition(v)) / denominator
 
-
-def _p_or_vacuous(table: JointTable, event: Event, condition: Event, label: str) -> float:
-    # Inclusion-exclusion on the conditioning side: a disjunct whose event
-    # never occurs contributes nothing, so its conditional term drops out.
-    if table.mass_where(condition) <= 0.0:
-        return 0.0
-    return _p(table, event, condition, label)
-
-
-_FORM_PROPS = {1: ("a", "b", "p"), 2: ("a", "b", "p"), 3: ("a", "p", "q"),
-               4: ("a", "p", "q"), 5: ("a", "b", "p"), 6: ("a", "p", "q")}
+    V = functools.partial(P, vacuous=True)
+    # An absent proposition's 0 is never read: its forms raise below.
+    a, b, p, q = (table.rows(x) if x in table.props else 0 for x in "abpq")
+    forms = {  # form: (propositions, right-hand side, target)
+        1: ("abp", lambda: P(p, a & b, "P(p|a,b)"), (p, a & b)),
+        2: ("abp", lambda: V(p, a, "P(p|a)") + V(p, b, "P(p|b)")
+            - V(p, a & b, "P(p|a,b)"), (p, a | b)),
+        3: ("apq", lambda: P(p, q & a, "P(p|q,a)") * P(q, a, "P(q|a)"), (p & q, a)),
+        4: ("apq", lambda: P(p, a, "P(p|a)") + P(q, a, "P(q|a)")
+            - P(p & q, a, "P(p,q|a)"), (p | q, a)),
+        5: ("abp", lambda: V(p, a & ~b, "P(p|a,-b)") + V(p, ~a & b, "P(p|-a,b)"),
+            (p, a ^ b)),
+        6: ("apq", lambda: P(p & ~q, a, "P(p,-q|a)") + P(~p & q, a, "P(-p,q|a)"),
+            (p ^ q, a)),
+    }
+    if form not in forms:
+        raise ValueError(f"unknown form {form}; expected 1..6")
+    props, rhs, target = forms[form]
+    missing = [x for x in props if x not in table.props]
+    if missing:
+        raise ProbabilityError(
+            f"form {form} needs propositions {missing} absent from the table"
+        )
+    return rhs, target
 
 
 def formula(form: int, table: JointTable) -> float:
@@ -381,53 +413,7 @@ def formula(form: int, table: JointTable) -> float:
     sub-term conditioned on a zero-mass event is a vacuous disjunct and
     contributes 0, so e.g. with b never true form 2 reduces to P(p|a).
     """
-    if form not in _FORM_PROPS:
-        raise ValueError(f"unknown form {form}; expected 1..6")
-    missing = [p for p in _FORM_PROPS[form] if p not in table.props]
-    if missing:
-        raise ProbabilityError(
-            f"form {form} needs propositions {missing} absent from the table"
-        )
-    a = lambda v: v["a"]
-    b = lambda v: v["b"]
-    p = lambda v: v["p"]
-    q = lambda v: v["q"]
-    if form == 1:
-        return _p(table, p, lambda v: a(v) and b(v), "P(p|a,b)")
-    if form == 2:
-        return (
-            _p_or_vacuous(table, p, a, "P(p|a)")
-            + _p_or_vacuous(table, p, b, "P(p|b)")
-            - _p_or_vacuous(table, p, lambda v: a(v) and b(v), "P(p|a,b)")
-        )
-    if form == 3:
-        return _p(table, p, lambda v: q(v) and a(v), "P(p|q,a)") * _p(
-            table, q, a, "P(q|a)"
-        )
-    if form == 4:
-        return (
-            _p(table, p, a, "P(p|a)")
-            + _p(table, q, a, "P(q|a)")
-            - _p(table, lambda v: p(v) and q(v), a, "P(p,q|a)")
-        )
-    if form == 5:
-        return _p_or_vacuous(
-            table, p, lambda v: a(v) and not b(v), "P(p|a,-b)"
-        ) + _p_or_vacuous(table, p, lambda v: not a(v) and b(v), "P(p|-a,b)")
-    return _p(table, lambda v: p(v) and not q(v), a, "P(p,-q|a)") + _p(
-        table, lambda v: not p(v) and q(v), a, "P(-p,q|a)"
-    )
-
-
-# The conditional each literal formula is meant to express.
-_FORM_TARGETS: dict[int, tuple[Event, Event]] = {
-    1: (lambda v: v["p"], lambda v: v["a"] and v["b"]),
-    2: (lambda v: v["p"], lambda v: v["a"] or v["b"]),
-    3: (lambda v: v["p"] and v["q"], lambda v: v["a"]),
-    4: (lambda v: v["p"] or v["q"], lambda v: v["a"]),
-    5: (lambda v: v["p"], lambda v: v["a"] != v["b"]),
-    6: (lambda v: v["p"] != v["q"], lambda v: v["a"]),
-}
+    return _form(form, table)[0]()
 
 
 @dataclass(frozen=True)
@@ -449,22 +435,33 @@ def compare_formulas(table: JointTable) -> tuple[FormComparison, ...]:
     """
     comparisons = []
     for form in range(1, 7):
+        try:
+            rhs, (event, condition) = _form(form, table)
+        except ProbabilityError as exc:  # the table lacks a proposition
+            note = (
+                f"literal undefined: {exc};"
+                " oracle undefined: proposition absent from the table"
+            )
+            comparisons.append(FormComparison(form, None, None, None, note))
+            continue
         literal = oracle = deviation = None
-        note = ""
+        notes = []
         try:
-            literal = formula(form, table)
+            literal = rhs()
         except ProbabilityError as exc:
-            note = f"literal undefined: {exc}"
-        event, condition = _FORM_TARGETS[form]
-        try:
-            if any(p not in table.props for p in _FORM_PROPS[form]):
-                raise ProbabilityError("proposition absent from the table")
-            oracle = oracle_conditional(table, event, condition)
-        except ProbabilityError as exc:
-            note = (note + "; " if note else "") + f"oracle undefined: {exc}"
+            notes.append(f"literal undefined: {exc}")
+        denominator = table.mass(condition)
+        if denominator > 0.0:
+            oracle = table.mass(event & condition) / denominator
+        else:
+            notes.append(
+                "oracle undefined: conditional undefined: condition has zero mass"
+            )
         if literal is not None and oracle is not None:
             deviation = abs(literal - oracle)
-        comparisons.append(FormComparison(form, literal, oracle, deviation, note))
+        comparisons.append(
+            FormComparison(form, literal, oracle, deviation, "; ".join(notes))
+        )
     return tuple(comparisons)
 
 

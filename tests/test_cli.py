@@ -471,6 +471,13 @@ class TestNeverCrashes:
         assert (code, out) == (2, "")
         assert err.startswith("ig: cannot propose a rule over atom 'a b': ")
 
+    def test_proposed_signed_atom_is_refused(self, tmp_path):
+        episodes = [["-a", "b"]] * 5 + [["c"]] * 5
+        path = write(tmp_path, "eps.jsonl", "".join(json.dumps(e) + "\n" for e in episodes))
+        assert run(["learn", path]) == (
+            2, "", "ig: cannot propose a rule over atom '-a': an atom name carries no sign\n"
+        )
+
 
 class TestDeterminism:
     def test_byte_identical_repeat_runs(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from igate.circuit import compile_program
 from igate.dsl import parse_program
+from igate.errors import ParseError
 from igate.learn import (
     apply_proposal,
     count_associations,
@@ -135,6 +136,12 @@ class TestProposals:
         eps = strong_pair_episodes("dog(rex)", "angry(rex)")
         proposals = propose_rules(count_associations(eps))
         assert str(proposals[0].rule) == "m_angry_rex_dog_rex :- angry(rex), dog(rex)."
+
+    def test_signed_atom_is_refused_once_proposed(self):
+        # "-a" was once proposed as the positive atom: m_a_b :- a, b.
+        eps = episodes_of(*[{"-a", "b"}] * 5, *[{"c"}] * 5)
+        with pytest.raises(ParseError, match=r"^cannot propose a rule over atom '-a': "):
+            propose_rules(count_associations(eps))
 
     def test_proposals_carry_their_declared_forms(self):
         from igate.classify import classify_rule
