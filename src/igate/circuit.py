@@ -144,23 +144,21 @@ class Circuit:
 # ---------------------------------------------------------------------------
 
 def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
-    """Material-implication completion: one rule per literal.
+    """Material-implication completion: one rule per distinct literal.
 
-    ":- l1, ..., ln." becomes the n rules "neg(li) :- {lj : j != i}." (with
-    n = 1, a plain fact "neg(l1)."), the only gate placements that exclude
-    exactly the assignments violating the constraint.
+    Repeated literals are dropped first. ":- l1, ..., ln." then becomes the
+    n rules "neg(li) :- {lj : j != i}." (with n = 1, a plain fact
+    "neg(l1)."), the only gate placements that exclude exactly the
+    assignments violating the constraint.
     """
     if not all(l.is_ground for l in constraint.body):
         raise CircuitError("constraint completion requires ground literals")
-    ordered = sorted(constraint.body, key=Literal.sort_key)
-    rests: dict[Literal, tuple[Literal, ...]] = {}
-    for i, lit in enumerate(ordered):  # each rest, without repeats, is canonical
-        rest = tuple(dict.fromkeys(ordered[:i] + ordered[i + 1 :]))
-        rests.setdefault(lit.negated(), rest)
-    # Distinct heads begin the rule texts, so their cached texts order the rules.
+    ordered = sorted(set(constraint.body), key=Literal.sort_key)
+    # Each rest is canonical; distinct heads begin the rule texts, so their
+    # cached texts order the rules.
     return tuple(
-        Rule((head,), rests[head], body_connective=AND)
-        for head in sorted(rests, key=str)
+        Rule((lit.negated(),), tuple(l for l in ordered if l != lit), body_connective=AND)
+        for lit in sorted(ordered, key=lambda l: str(l.negated()))
     )
 
 
@@ -240,10 +238,9 @@ def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
             generative.append(stmt)
             continue
         if isinstance(stmt, Constraint):
-            body = frozenset(stmt.body)
-            if body not in wired:
+            if (body := frozenset(stmt.body)) not in wired:
                 wired.add(body)
-                for rule in complete_constraint(Constraint(tuple(body))):
+                for rule in complete_constraint(stmt):
                     out = rule.head[0].channel
                     if not rule.body:
                         facts.add(out)

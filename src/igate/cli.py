@@ -263,15 +263,22 @@ def _cmd_vec(args, out) -> int:
             "residual": list(result.residual.components),
         }
     elif args.vec_op == "fuse":
-        a, b = (pick(n) for n in _split_outside_parens(args.pair))
-        result = vectors.fuse(a, b)
+        names = _split_outside_parens(args.pair)
+        if len(names) != 2:
+            raise _UsageError(f"--pair expects two vector names A,B, got {args.pair!r}")
+        result = vectors.fuse(*map(pick, names))
         payload = {
             "center": list(result.center.components),
             "extent": list(result.extent.components),
         }
     else:  # detach
         fusion = vectors.FusionResult(pick(args.center), pick(args.extent))
-        direction = [int(d) for d in _split_outside_parens(args.direction)]
+        try:
+            direction = [int(d) for d in _split_outside_parens(args.direction)]
+        except ValueError:
+            raise _UsageError(
+                f"--direction expects integers D1,D2,..., got {args.direction!r}"
+            ) from None
         result = vectors.detach(fusion, direction)
         payload = {"label": result.label, "components": list(result.components)}
     print(json.dumps(payload), file=out)
@@ -426,7 +433,7 @@ def _dispatch(argv: Sequence[str], out, err) -> int:
         print("ig: a subcommand is required (see ig --help)", file=err)
         return 1
     try:
-        for flag in ("max_ground", "max_switches", "max_choices", "top_k"):
+        for flag in ("max_ground", "max_switches", "max_choices", "top_k", "max_steps"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 name = flag.replace("_", "-")

@@ -1,23 +1,24 @@
 """Boolean fixpoint propagation and exhaustive model enumeration.
 
-One worklist kernel (`_fixpoint`, after Dowling & Gallier's linear-time
-Horn satisfiability) computes every fixpoint in the package, on integer
-wire ids (`Circuit.index`): atom i owns the wire pair 2i and 2i + 1,
-generator g a ready wire after them, and a state is a bytearray, one byte
-per wire. Each newly active wire is read once: its watch list names the
-gates and guards it feeds, and one fires when its last missing input
-arrives. Between worklist runs each ready generator (byte 1) is resolved
-(byte 2). Model search branches over every generator left unresolved,
+One worklist (`_drain`, after Dowling & Gallier's linear-time Horn
+satisfiability) computes every fixpoint in the package, on integer wire ids
+(`Circuit.index`): atom i owns the wire pair 2i and 2i + 1, generator g a
+ready wire after them. It runs over two value domains, with 0 false and 1
+true in both: here a state is a bytearray, one byte per wire, and weighted
+queries (`igate.prob`) hold a BDD per wire. A wire is read again only when
+its value changes: its watch list names the gates and guards it feeds, and
+one fires when its last missing input arrives. Between worklist runs the
+digital kernel (`_fixpoint`) resolves each ready generator (byte 1 to
+byte 2). Model search branches over every generator left unresolved,
 extending a copy of the parent's state by the selected channels only; it
 prunes a state in which both wires of an atom are on, builds one model per
 distinct state, and returns models in a deterministic sorted order.
-Weighted queries (`igate.prob`) read the same watch lists, with a BDD per
-channel in place of a byte.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
@@ -118,6 +119,30 @@ def _activate(active: bytearray, pending: list[int], channels: Iterable[int]) ->
             pending.append(c)
 
 
+def _drain(watch: list, value, pending: list[int], conj: Callable, disj: Callable) -> None:
+    """The one worklist: for each watch entry of a popped wire, OR (`disj`) the
+    AND (`conj`) of the gate's or guard's inputs into its output, queueing the
+    output again only when its value changes. Values are bytes or BDD nodes,
+    with 0 false and 1 true in both: an output at 1 is skipped, an AND stops
+    at its first 0, and an output at 0 takes the AND as it is."""
+    while pending:
+        wire = pending.pop()
+        for output, needs in watch[wire]:
+            old = value[output]
+            if old == 1:
+                continue
+            fired = value[wire]
+            for n in needs:
+                fired = conj(fired, value[n])
+                if not fired:
+                    break
+            else:
+                new = disj(old, fired) if old else fired
+                if new != old:
+                    value[output] = new
+                    pending.append(output)
+
+
 def _fixpoint(
     circuit: Circuit,
     active: bytearray,
@@ -125,24 +150,19 @@ def _fixpoint(
     choices: Mapping[str, tuple[int, ...]],
     scorers: Mapping[str, Scorer],
 ) -> list[int]:
-    """The propagation kernel: extend `active` in place to the least fixpoint.
+    """The digital kernel: extend `active` in place to the least fixpoint.
 
-    `active` has one byte per wire id; `pending` lists the active wires
-    whose watch lists are still to be read. Draining it fires every gate and
-    guard whose inputs all became active, so each wire is handled once.
-    Then every ready generator, in position order, is resolved by `choices`
-    or its scorer, its ready byte set to 2 and its selection queued, until
-    nothing new activates. Returns the positions of the ready generators
-    left without a choice or scorer.
+    `active` has one byte per wire id; `pending` lists the active wires whose
+    watch lists are still to be read. Draining it over bytes (`&` on the 0/1
+    atom wires, `max` keeping a resolved ready byte at 2) fires every gate and
+    guard whose inputs all became active. Then every ready generator, in
+    position order, is resolved by `choices` or its scorer, its ready byte set
+    to 2 and its selection queued, until nothing new activates. Returns the
+    positions of the ready generators left without a choice or scorer.
     """
-    index = circuit.index
-    watch, is_active, first = index.watch, active.__getitem__, len(index.names)
+    index, first = circuit.index, len(circuit.index.names)
     while True:
-        while pending:
-            for output, needs in watch[pending.pop()]:
-                if not active[output] and all(map(is_active, needs)):
-                    active[output] = 1
-                    pending.append(output)
+        _drain(index.watch, active, pending, operator.and_, max)
         unresolved: list[int] = []
         ready = first - 1
         while (ready := active.find(1, ready + 1)) >= 0:

@@ -6,10 +6,11 @@ the deterministic statements plus the enabled annotated ones. The program
 is compiled once, with every switch as a channel ("$s0", a name the parser
 cannot produce) that each gate of its statement takes as an extra AND
 input: a disjunctive body splits into one gate per disjunct, and a fact
-becomes a gate from its switch alone. A query runs the kernel's fixpoint
-once, on reduced ordered BDDs of the switches in place of bytes (ProbLog's
-compilation), and takes the weighted model count of its consistent worlds:
-contradictory worlds are dropped and the remaining mass renormalized.
+becomes a gate from its switch alone. A query runs the digital kernel's
+one worklist (`digital._drain`) once, on reduced ordered BDDs of the
+switches in place of bytes (ProbLog's compilation), and takes the weighted
+model count of its consistent worlds: contradictory worlds are dropped and
+the remaining mass renormalized. A query or given literal must be ground.
 `enumerate_worlds` still lists the worlds, one kernel run each. The six
 dependency forms are additionally computed literally over an explicit joint
 distribution, next to an exact conditional oracle, so their agreements and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import Circuit, compile_program
-from .digital import Model, _activate, _contradictory, _fixpoint, _initial
+from .digital import Model, _activate, _contradictory, _drain, _fixpoint, _initial
 from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonical_statements
 from .errors import GuardError, ProbabilityError
 from .grounding import ground_program
@@ -205,30 +206,6 @@ class _BDD:
         return mass
 
 
-def _derivations(circuit: Circuit, switches: Sequence[int], bdd: _BDD) -> list[int]:
-    """Per channel, the BDD of its worlds: the kernel's least fixpoint with BDD
-    OR/AND in place of setting a byte. Switch i starts as variable i, a fact
-    as true; a channel is read again only when its node changes."""
-    watch, apply = circuit.index.watch, bdd.apply
-    value = [0] * len(circuit.index.names)
-    pending = [*circuit.index.facts, *switches]
-    for c in circuit.index.facts:
-        value[c] = 1
-    for level, c in enumerate(switches):
-        value[c] = bdd.node(level, 0, 1)
-    while pending:
-        c = pending.pop()
-        for output, needs in watch[c]:
-            fired = value[c]
-            for n in needs:
-                fired = apply(_AND, fired, value[n])
-            new = apply(_OR, value[output], fired)
-            if new != value[output]:
-                value[output] = new
-                pending.append(output)
-    return value
-
-
 def query_prob(
     program: Program,
     query: Literal,
@@ -239,9 +216,22 @@ def query_prob(
     worlds: with S(x) the BDD of channel x and C the OR of S(a) and S(-a) over
     the atoms, WMC(q and g and not C) / WMC(g and not C). A negative literal
     reads as not S(a), so P(-x) = 1 - P(x)."""
+    given = tuple(given)
+    for literal in (query, *given):
+        if not literal.is_ground:
+            raise ProbabilityError(
+                f"query and given literals must be ground, got {literal}"
+            )
     circuit, switches, channels = _compile_weighted(program, max_switches)
     bdd = _BDD([switch.probability for switch in switches])
-    apply, value = bdd.apply, _derivations(circuit, channels, bdd)
+    # The kernel's worklist over BDDs: a fact is true, switch i variable i.
+    active, pending = _initial(circuit, ())
+    value, apply = list(active), bdd.apply
+    for level, c in enumerate(channels):
+        value[c] = bdd.node(level, 0, 1)
+        pending.append(c)
+    conj, disj = (functools.partial(apply, op) for op in (_AND, _OR))
+    _drain(circuit.index.watch, value, pending, conj, disj)
     for c in channels:  # the switches stay out of the outcome
         value[c] = 0
     contradiction = 0
@@ -253,7 +243,6 @@ def query_prob(
         derived = 0 if c is None else value[c]
         return apply(_DIFF if literal.negative else _AND, condition, derived)
 
-    given = tuple(given)
     condition = apply(_DIFF, 1, contradiction)
     for g in given:
         condition = holds(condition, g)

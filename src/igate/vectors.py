@@ -199,6 +199,11 @@ def load_vectors(text: str) -> dict[str, ConceptVector]:
     for label, values in data.items():
         if not isinstance(values, list):
             raise VectorError(f"{label}: expected a JSON array of numbers")
+        for value in values:  # a JSON true or false parses as a bool, not a number
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise VectorError(
+                    f"{label}: component {json.dumps(value)} is not a JSON number"
+                )
         vectors[label] = concept_vector(label, values)
     return vectors
 

@@ -65,11 +65,15 @@ class TestCompletion:
 
     def test_completion_is_deduplicated(self):
         constraint = parse_program(":- a, a.").statements[0]
-        # set semantics: duplicates collapse before completion
-        from igate.dsl import Constraint
-
+        # set semantics: duplicates collapse before completion, whether the
+        # constraint comes canonicalized or as written
         deduped = canonicalize(Program((constraint,))).statements[0]
         assert [str(r) for r in complete_constraint(deduped)] == ["-a."]
+        assert [str(r) for r in complete_constraint(constraint)] == ["-a."]
+        repeated = parse_program(":- b, -c, b, a, -c.").statements[0]
+        assert [str(r) for r in complete_constraint(repeated)] == [
+            "-a :- b, -c.", "-b :- a, -c.", "c :- a, b.",
+        ]
 
     def test_random_constraint_sets_match_truth_table(self):
         rng = random.Random(99)

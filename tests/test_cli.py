@@ -89,6 +89,16 @@ class TestExitCodes:
         code, _ = dispatch(["prob", path, "--query", "c", "--given", "d"])
         assert code == 2
 
+    def test_non_ground_probability_literal_is_semantic_error(self):
+        program = str(PROGRAMS / "prob.ig")
+        for flags, named in (
+            (["--query", "p(X)"], "p(X)"),
+            (["--query", "b", "--given", "a,p(X)"], "p(X)"),
+        ):
+            code, out, err = run(["prob", program, *flags])
+            assert (code, out) == (2, "")
+            assert err == f"ig: query and given literals must be ground, got {named}\n"
+
     def test_help_exits_zero(self):
         code, out = dispatch(["--help"])
         assert code == 0 and "COMMAND" in out
@@ -111,6 +121,37 @@ class TestSubcommands:
         )
         assert code == 0
         assert out == "-a :- b, -p.\n-b :- a, -p.\np :- a, b.\n"
+
+    def test_complete_prints_the_rules_that_compile_wires(self, tmp_path):
+        """`ig eval` of the `ig complete` output equals `ig eval` of the source.
+
+        Random ground constraints on a, b and c, with repeated literals,
+        complementary pairs and a few facts beside them."""
+        rng = random.Random(1517)
+        differ = []
+        for _ in range(400):
+            body = [
+                ("-" if rng.random() < 0.4 else "") + rng.choice("abc")
+                for _ in range(rng.randint(1, 3))
+            ]
+            if rng.random() < 0.4:
+                body.append(rng.choice(body))
+            if rng.random() < 0.2:
+                lit = rng.choice(body)
+                body.append(lit[1:] if lit[0] == "-" else "-" + lit)
+            rng.shuffle(body)
+            facts = [
+                ("-" if rng.random() < 0.5 else "") + rng.choice("abc") + "."
+                for _ in range(rng.choice((0, 0, 1, 2)))
+            ]
+            source = f":- {', '.join(body)}.\n" + "".join(f"{f}\n" for f in facts)
+            path = write(tmp_path, "constraint.ig", source)
+            code, completed, _ = run(["complete", path])
+            assert code == 0, source
+            rules = write(tmp_path, "completed.ig", completed)
+            if run(["eval", rules]) != run(["eval", path]):
+                differ.append(source)
+        assert differ == []
 
     def test_compile_summary_and_dot(self, tmp_path):
         dot_path = tmp_path / "out.dot"
@@ -314,6 +355,40 @@ class TestSubcommands:
         )
         payload = json.loads(out)
         assert payload["extracted"] and "residual" in payload
+
+    def test_vec_pair_needs_two_names(self, tmp_path):
+        path = write(tmp_path, "v.json", json.dumps({"a": [1, 3], "b": [3, 1]}))
+        for pair in ("a", "a,b,a"):
+            code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", pair])
+            assert (code, out) == (1, "")
+            assert err == f"ig: --pair expects two vector names A,B, got {pair!r}\n"
+
+    def test_vec_direction_must_be_integers(self, tmp_path):
+        path = write(tmp_path, "v.json", json.dumps({"c": [2, 2], "e": [1, 1]}))
+        code, out, err = run(
+            ["vec", "detach", "--vectors", path, "--center", "c", "--extent", "e",
+             "--direction", "1,x"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "ig: --direction expects integers D1,D2,..., got '1,x'\n"
+
+    @pytest.mark.parametrize(
+        "component, shown", [('"x"', '"x"'), ("null", "null"), ("true", "true")]
+    )
+    def test_vec_component_must_be_a_json_number(self, tmp_path, component, shown):
+        path = write(tmp_path, "v.json", f'{{"a": [1, 3], "b": [{component}, 1]}}')
+        code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
+        assert (code, out) == (2, "")
+        assert err == f"ig: b: component {shown} is not a JSON number\n"
+
+    def test_vec_contrast_rejects_negative_max_steps(self, tmp_path):
+        path = write(tmp_path, "v.json", json.dumps({"t": [3, 4], "u": [1, 1]}))
+        argv = ["vec", "contrast", "--vectors", path, "--target", "t", "--dictionary", "u"]
+        code, out, err = run([*argv, "--max-steps", "-1"])
+        assert (code, out) == (1, "")
+        assert err == "ig: --max-steps must be non-negative, got -1\n"
+        assert json.loads(run(argv)[1])["extracted"] == ["u", "u", "u"]
+        assert json.loads(run([*argv, "--max-steps", "0"])[1])["extracted"] == []
 
     def test_learn_pipeline(self, tmp_path):
         episodes = generate_planted_episodes(n_episodes=400, seed=7)

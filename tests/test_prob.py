@@ -18,6 +18,7 @@ from igate.dsl import (
     parse_literal,
     parse_program,
 )
+from igate import prob
 from igate.errors import GuardError, ProbabilityError
 from igate.prob import (
     MAX_SWITCHES,
@@ -162,6 +163,24 @@ class TestQueries:
     def test_zero_mass_condition(self):
         with pytest.raises(ProbabilityError, match="zero mass"):
             q("0.7 :: c.", "c", given="d")
+
+    def test_non_ground_literal_is_refused_before_grounding(self, monkeypatch):
+        # Read as an atom, p(X) would be absent from every world: P = 0.
+        program = parse_program("#entity rex.\n0.5 :: p(rex).")
+        monkeypatch.setattr(prob, "_compile_weighted", None)  # any call would fail
+        cases = (
+            ("p(X)", ["q(Y)"], "p(X)"),  # the query first
+            ("-p(X)", [], "-p(X)"),
+            ("p(rex)", ["p(rex)", "q(Y)", "r(Z)"], "q(Y)"),  # then the given, in order
+        )
+        for query, given, named in cases:
+            with pytest.raises(ProbabilityError) as info:
+                query_prob(
+                    program, parse_literal(query), [parse_literal(g) for g in given]
+                )
+            assert str(info.value) == (
+                f"query and given literals must be ground, got {named}"
+            )
 
     def test_grounds_first(self):
         value = q("#entity rex.\n0.5 :: dog(rex).\nmammal(X) :- dog(X).", "mammal(rex)")

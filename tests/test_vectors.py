@@ -174,3 +174,8 @@ class TestJsonInterchange:
     def test_rejects_non_finite(self):
         with pytest.raises(VectorError, match="finite"):
             load_vectors('{"a": [1e999]}')
+
+    @pytest.mark.parametrize("component", ['"1"', "null", "true", "false", "[1]"])
+    def test_components_must_be_json_numbers(self, component):
+        with pytest.raises(VectorError, match=r"^b: component .* is not a JSON number$"):
+            load_vectors(f'{{"a": [1, 2], "b": [1, {component}]}}')
