@@ -16,6 +16,7 @@ from .circuit import (
     Generator,
     classicalize,
     compile_program,
+    compile_records,
     complete_constraint,
     export_dot,
 )
@@ -50,7 +51,7 @@ from .errors import (
     VectorError,
     VocabularyMismatchError,
 )
-from .grounding import ground_program
+from .grounding import GroundRecords, ground_program, ground_records
 from .learn import (
     AssociationStats,
     RuleProposal,

@@ -1,9 +1,15 @@
-"""Compile ground programs into gate networks.
+"""Wire ground programs into gate networks.
 
-Every ground atom owns two stateful channels (positive and negative);
-gates are stateless AND/OR functions wired between channels; generators
-are non-deterministic inputs enumerated during model search. Constraints
-are rewritten into their material-implication completion before wiring.
+Every ground atom owns two stateful channels (positive and negative), a
+pair of wires; gates are stateless AND/OR functions wired between them;
+generators are non-deterministic inputs enumerated during model search.
+`compile_records` wires the grounder's integer records
+(`igate.grounding.GroundRecords`) straight into the kernel's form
+(`ChannelIndex`): watch lists, facts and alternatives on wire ids, in
+sorted atom order. Constraints are wired as their material-implication
+completion. `compile_program` takes a ground `Program` through the same
+records. A `Circuit` names its gates, channels and facts only when they are
+read (`ig compile`, `export_dot`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .dsl import (
     canonical_statements,
 )
 from .errors import CircuitError
+from .grounding import GroundRecords, _encode
 
 EXACTLY_ONE = "exactly_one"
 NONEMPTY_SUBSET = "nonempty_subset"
@@ -75,73 +82,79 @@ class Generator:
 
 @dataclass(frozen=True)
 class ChannelIndex:
-    """Integer view of a circuit, read by the digital kernel.
+    """Integer form of a circuit, read by the digital kernel.
 
     Atom i, in sorted atom order, owns channel 2i (positive) and 2i + 1
-    (negative), so the complement of channel c is c ^ 1. `names` and
-    `values` map a channel to its name and its (atom, value) pair. Generator
-    g owns the ready wire len(names) + g, an AND of its guard (a fact when
-    unguarded). Watch list `watch[c]` holds an (output, inputs) pair per gate
-    or guard that c feeds: it fires once all its inputs are on (an OR gate or
-    a one-input AND lists none). `alternatives[g]` holds g's alternatives' ids.
+    (negative), so the complement of channel c is c ^ 1. `names` maps a
+    channel to its name. Generator g owns the ready wire len(names) + g, an
+    AND of its guard (a fact when unguarded). Watch list `watch[c]` holds an
+    (output, inputs) pair per gate or guard that c feeds: it fires once all
+    its inputs are on (an OR gate or a one-input AND lists none).
+    `alternatives[g]` holds g's alternatives' ids. `ids` and `values` (a
+    channel's (atom, value) pair) are built on first use.
     """
 
     names: tuple[str, ...]
-    ids: dict[str, int]
     watch: list[list[tuple[int, tuple[int, ...]]]]
     facts: tuple[int, ...]
     alternatives: tuple[tuple[tuple[int, ...], ...], ...]
-    values: tuple[tuple[str, bool], ...]
+
+    @cached_property
+    def ids(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def values(self) -> tuple[tuple[str, bool], ...]:
+        return tuple((self.names[c & ~1], not c & 1) for c in range(len(self.names)))
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate network; evaluation state lives in the digital engine."""
+    """Immutable gate network; evaluation state lives in the digital engine.
 
-    channels: frozenset[str]
-    gates: tuple[Gate, ...]
+    `wiring` holds each gate as (kind, input ids, output id), in the order
+    the gates were wired. `gates`, `channels` and `facts` are their named
+    views, built on first use.
+    """
+
+    index: ChannelIndex
     generators: tuple[Generator, ...]
-    facts: frozenset[str]
+    wiring: tuple[tuple[str, tuple[int, ...], int], ...]
 
     def atoms(self) -> list[str]:
         return list(self.index.names[::2])
 
     @cached_property
-    def index(self) -> ChannelIndex:
-        """The channel ids and watch lists, built once per circuit."""
-        atoms = sorted({c.lstrip("-") for c in self.channels})
-        names = tuple(name for a in atoms for name in (a, "-" + a))
-        ids = dict(zip(names, range(len(names))))
-        watch: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in names]
-        facts = [ids[c] for c in self.facts]
-        nodes = [(gate.kind, gate.inputs, ids[gate.output]) for gate in self.gates]
-        for gen in self.generators:  # an AND of its guard into its ready wire
-            nodes.append((AND, gen.guard, len(watch)))
-            watch.append([])
-        for kind, channels, output in nodes:
-            inputs = [ids[c] for c in channels]
-            needs = tuple(inputs) if kind == AND and len(inputs) > 1 else ()
-            entry = (output, needs)
-            for c in inputs:
-                watch[c].append(entry)
-            if not inputs:  # an unguarded generator is ready from the start
-                facts.append(output)
-        return ChannelIndex(
-            names,
-            ids,
-            watch,
-            tuple(facts),
-            tuple(
-                tuple(tuple(ids[c] for c in alt) for alt in gen.alternatives)
-                for gen in self.generators
-            ),
-            tuple((a, value) for a in atoms for value in (True, False)),
+    def gates(self) -> tuple[Gate, ...]:
+        names = self.index.names
+        return tuple(
+            Gate(kind, tuple(names[c] for c in inputs), names[output])
+            for kind, inputs, output in self.wiring
         )
+
+    @cached_property
+    def channels(self) -> frozenset[str]:
+        return frozenset(self.index.names)
+
+    @cached_property
+    def facts(self) -> frozenset[str]:
+        names = self.index.names  # the ready wires come after the channels
+        return frozenset(names[c] for c in self.index.facts if c < len(names))
 
 
 # ---------------------------------------------------------------------------
 # Constraint completion and classicalization
 # ---------------------------------------------------------------------------
+
+def _completion(ordered: list, negate, text) -> list[tuple]:
+    """The (head, body) pairs of the completion of a constraint whose
+    distinct literals are `ordered`, in literal order: one per literal,
+    headed by its negation, the pairs in the order of their heads' `text`."""
+    return [
+        (negate(lit), tuple(l for l in ordered if l != lit))
+        for lit in sorted(ordered, key=lambda l: text(negate(l)))
+    ]
+
 
 def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     """Material-implication completion: one rule per distinct literal.
@@ -154,11 +167,9 @@ def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     if not all(l.is_ground for l in constraint.body):
         raise CircuitError("constraint completion requires ground literals")
     ordered = sorted(set(constraint.body), key=Literal.sort_key)
-    # Each rest is canonical; distinct heads begin the rule texts, so their
-    # cached texts order the rules.
     return tuple(
-        Rule((lit.negated(),), tuple(l for l in ordered if l != lit), body_connective=AND)
-        for lit in sorted(ordered, key=lambda l: str(l.negated()))
+        Rule((head,), body, body_connective=AND)
+        for head, body in _completion(ordered, Literal.negated, str)
     )
 
 
@@ -192,106 +203,131 @@ def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
 # Compilation
 # ---------------------------------------------------------------------------
 
-def _gate(kind: str, inputs: tuple[str, ...], output: str) -> Gate | None:
-    # A head feeding on itself adds nothing under monotone propagation: an
-    # AND needs the output already active, an OR reduces to its other inputs.
-    if output in inputs:
-        if kind == AND:
-            return None
-        inputs = tuple(i for i in inputs if i != output)
-        if not inputs:
-            return None
-    return Gate(kind, inputs, output)
-
-
-def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
-    """Wire a ground program into a Circuit, in one pass over its statements.
+def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Circuit:
+    """Wire ground records into a Circuit, in one pass over the records.
 
     Conjunctive bodies become AND gates, disjunctive bodies OR gates, with
     one gate per head conjunct. Disjunctive heads become guarded generators
     (inclusive: any non-empty subset; exclusive: exactly one, resolved by
     `xor_scorer` when given). Choices become unguarded exactly-one
-    generators, facts become unconditionally active channels. Probability
+    generators, facts become unconditionally active channels. Constraints
+    are wired as their completion (`complete_constraint`). Probability
     annotations are ignored; `igate.prob` turns them into switch channels
     before compiling.
 
-    Rules and constraints are wired in statement order, and identical
+    One sort of the atom names lays the wires out in sorted atom order.
+    Rules and constraints are wired in record order, and identical
     unweighted ones (after literal dedup) are wired once, so the gate count
-    does not depend on the order. Only the statements that become
-    generators are put in canonical order, so generators (gen0, gen1, ...)
-    are numbered the same whatever the order of the statements.
+    does not depend on the order. A head feeding on itself adds nothing
+    under monotone propagation: such an AND gate is dropped, and such an OR
+    gate reduces to its other inputs. Only the records that become
+    generators are put in canonical order (through their `Literal` view),
+    so generators (gen0, gen1, ...) are numbered the same whatever the
+    order of the statements.
     """
-    atoms: set[str] = set()
-    gates: list[Gate] = []
-    facts: set[str] = set()
+    atoms = ground.atoms
+    order = sorted(range(len(atoms)), key=atoms.__getitem__)
+    place = [0] * (2 * len(atoms))  # a record's wire -> its sorted wire
+    names: list[str] = []
+    for rank, atom in enumerate(order):
+        place[2 * atom], place[2 * atom + 1] = 2 * rank, 2 * rank + 1
+        names += (atoms[atom], "-" + atoms[atom])
+    wire = place.__getitem__
+
+    watch: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in names]
+    wiring: list[tuple[str, tuple[int, ...], int]] = []
+    facts: dict[int, None] = {}
     wired: set = set()  # order-free keys of the unweighted rules and constraints
-    generative: list = []  # choices and rules with a disjunctive head
+    generative: list[tuple] = []  # choices and rules with a disjunctive head
 
-    for stmt in program.statements:
-        for lit in stmt.literals():
-            if not lit.is_ground:
-                raise CircuitError(
-                    "compilation requires a ground program; ground it first"
-                )
-            atoms.add(lit.atom_name)
-        if isinstance(stmt, Choice):
-            generative.append(stmt)
-            continue
-        if isinstance(stmt, Constraint):
-            if (body := frozenset(stmt.body)) not in wired:
-                wired.add(body)
-                for rule in complete_constraint(stmt):
-                    out = rule.head[0].channel
-                    if not rule.body:
-                        facts.add(out)
-                    elif gate := _gate(AND, tuple(l.channel for l in rule.body), out):
-                        gates.append(gate)
-            continue
-        rule: Rule = stmt
-        if rule.head_connective in (OR, XOR) and len(set(rule.head)) > 1:
-            generative.append(rule)
-            continue
-        heads = dict.fromkeys([l.channel for l in rule.head])
-        if not rule.body:
-            facts.update(heads)
-            continue
-        inputs = tuple(dict.fromkeys([l.channel for l in rule.body]))
-        kind = OR if rule.body_connective == OR and len(inputs) > 1 else AND
-        if rule.probability is None:  # weighted rules never merge
-            key = (frozenset(heads), frozenset(inputs), kind)
-            if key in wired:
-                continue
-            wired.add(key)
-        for out in heads:
-            if gate := _gate(kind, inputs, out):
-                gates.append(gate)
+    def gate(kind: str, inputs: tuple[int, ...], output: int) -> None:
+        if output in inputs:
+            if kind == AND:
+                return
+            inputs = tuple(c for c in inputs if c != output)
+            if not inputs:
+                return
+        entry = (output, inputs if kind == AND and len(inputs) > 1 else ())
+        for c in inputs:
+            watch[c].append(entry)
+        wiring.append((kind, inputs, output))
 
-    generators: list[tuple] = []  # Generator fields after the id
-    for stmt in canonical_statements(generative):
+    for record in ground.records:
+        kind, head, body, head_conn, body_conn, probability = record
+        if kind is Choice:
+            generative.append(record)
+        elif kind is Constraint:
+            if (key := frozenset(body)) not in wired:
+                wired.add(key)
+                ordered = sorted(map(wire, key))
+                for out, rest in _completion(ordered, (1).__xor__, names.__getitem__):
+                    if rest:
+                        gate(AND, rest, out)
+                    else:
+                        facts[out] = None
+        elif head_conn in (OR, XOR) and len(set(head)) > 1:
+            generative.append(record)
+        elif not body:
+            facts.update(dict.fromkeys(map(wire, head)))
+        else:
+            heads = dict.fromkeys(map(wire, head))
+            inputs = tuple(dict.fromkeys(map(wire, body)))
+            kind = OR if body_conn == OR and len(inputs) > 1 else AND
+            if probability is None:  # weighted rules never merge
+                key = (frozenset(heads), frozenset(inputs), kind)
+                if key in wired:
+                    continue
+                wired.add(key)
+            for out in heads:
+                gate(kind, inputs, out)
+
+    generators: list[Generator] = []
+    alternatives: list[tuple[tuple[int, ...], ...]] = []
+    ready: list[int] = []
+    ids = dict(zip(names, range(len(names)))) if generative else {}
+    for stmt in canonical_statements(ground.statements(generative)):
         if isinstance(stmt, Choice):
-            alternatives = tuple(frozenset({l.channel}) for l in stmt.literals_)
-            generators.append((alternatives, EXACTLY_ONE, (), None))
-            continue
-        alternatives = tuple(frozenset({l.channel}) for l in stmt.head)
-        cardinality = EXACTLY_ONE if stmt.head_connective == XOR else NONEMPTY_SUBSET
-        scorer = xor_scorer if stmt.head_connective == XOR else None
-        body_channels = tuple(l.channel for l in stmt.body)
-        # Disjunctive bodies split into one guard per disjunct, the
-        # equivalent conjunction-free form.
-        guards = (
-            [(c,) for c in body_channels]
-            if stmt.body_connective == OR
-            else [body_channels]
-        )
+            choice, cardinality, scorer = stmt.literals_, EXACTLY_ONE, None
+            guards: list[tuple[str, ...]] = [()]
+        else:
+            choice = stmt.head
+            exclusive = stmt.head_connective == XOR
+            cardinality = EXACTLY_ONE if exclusive else NONEMPTY_SUBSET
+            scorer = xor_scorer if exclusive else None
+            body_channels = tuple(l.channel for l in stmt.body)
+            # Disjunctive bodies split into one guard per disjunct, the
+            # equivalent conjunction-free form.
+            guards = (
+                [(c,) for c in body_channels]
+                if stmt.body_connective == OR
+                else [body_channels]
+            )
+        channels = tuple(frozenset({l.channel}) for l in choice)
         for guard in guards:
-            generators.append((alternatives, cardinality, guard, scorer))
+            g = len(generators)
+            generators.append(Generator(f"gen{g}", channels, cardinality, guard, scorer))
+            alternatives.append(tuple((ids[l.channel],) for l in choice))
+            inputs = tuple(ids[c] for c in guard)
+            entry = (len(names) + g, inputs if len(inputs) > 1 else ())
+            for c in inputs:
+                watch[c].append(entry)
+            if not inputs:  # an unguarded generator is ready from the start
+                ready.append(len(names) + g)
+    watch += ([] for _ in generators)
 
     return Circuit(
-        channels=frozenset(atoms).union("-" + a for a in atoms),
-        gates=tuple(gates),
-        generators=tuple(Generator(f"gen{g}", *s) for g, s in enumerate(generators)),
-        facts=frozenset(facts),
+        ChannelIndex(tuple(names), watch, (*facts, *ready), tuple(alternatives)),
+        tuple(generators),
+        tuple(wiring),
     )
+
+
+def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
+    """Wire a ground program into a Circuit: its statements pass through the
+    records of the grounder unchanged, and `compile_records` wires them."""
+    if not all(lit.is_ground for stmt in program.statements for lit in stmt.literals()):
+        raise CircuitError("compilation requires a ground program; ground it first")
+    return compile_records(_encode(program), xor_scorer)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def _cmd_compile(args, out) -> int:
 
 
 def _cmd_complete(args, out) -> int:
-    program = _load_program(args.file)
+    program = grounding.ground_program(_load_program(args.file), args.max_ground)
     statements: list[dsl.Statement] = []
     for stmt in program.statements:
         if isinstance(stmt, dsl.Constraint):
@@ -164,10 +164,13 @@ def _cmd_complete(args, out) -> int:
 
 def _cmd_models(args, out) -> int:
     max_choices = _max_choices(args)
-    program = grounding.ground_program(_load_program(args.file), args.max_ground)
+    program = _load_program(args.file)
     if args.classical:
-        program = circuit_mod.classicalize(program)
-    compiled = circuit_mod.compile_program(program)
+        program = grounding.ground_program(program, args.max_ground)
+        compiled = circuit_mod.compile_program(circuit_mod.classicalize(program))
+    else:
+        ground = grounding.ground_records(program, args.max_ground)
+        compiled = circuit_mod.compile_records(ground)
     models = digital.enumerate_models(compiled, max_choices)
     for model in models:
         if args.json:
@@ -178,8 +181,8 @@ def _cmd_models(args, out) -> int:
 
 
 def _cmd_eval(args, out) -> int:
-    program = grounding.ground_program(_load_program(args.file), args.max_ground)
-    compiled = circuit_mod.compile_program(program)
+    ground = grounding.ground_records(_load_program(args.file), args.max_ground)
+    compiled = circuit_mod.compile_records(ground)
     inputs = []
     for part in _split_outside_parens(args.set or ""):
         name, _, value = part.rpartition("=")
@@ -353,6 +356,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = add("complete", _cmd_complete, "rewrite constraints into rule families")
     p.add_argument("file")
+    p.add_argument("--max-ground", type=int, default=grounding.MAX_GROUND_RULES)
 
     p = add("models", _cmd_models, "enumerate all consistent models")
     p.add_argument("file")

@@ -1,4 +1,4 @@
-"""Variable elimination over finite constant domains.
+"""Variable elimination over finite constant domains, straight to wire ids.
 
 Variables shared between head and body are universal: one ground statement
 per constant assignment. Body-only variables are existential and expand
@@ -8,22 +8,34 @@ are existential on the output side and expand into an inclusive
 disjunctive head; a conjunctive head splits into one such rule per
 conjunct. Constraint and choice variables are universal.
 
-Each statement has one shape (`_shape`): the variables it is instantiated
-over and whether each binding splits its head. `ground_program` reads the
-statement's size from that shape and checks the statement limit before
-`_instances` builds the statement from the same shape, so a refused program
-costs neither the time nor the memory of its expansion.
+Grounding numbers each ground atom the first time it meets it: atom a owns
+wire 2a (its positive literal) and 2a + 1 (its negative one), and every
+ground statement comes out as one integer record over those wires
+(`GroundRecords`). Each source literal is instantiated once, into a table
+from the constants of its bound variables to the wires of its expansion
+over its open ones, so one binding of a statement is a few table lookups.
+`igate.circuit.compile_records` wires the records as they are;
+`ground_program` is their `Literal` view, one `Literal` per wire.
 
-The ground statements come back in the order they are built and may
-repeat. `format_program` puts them in canonical order itself;
-`compile_program` wires them as they come, merging repeats, and sorts only
-the statements that become generators.
+Each statement has one shape (`_shape`): the variables it is instantiated
+over and whether each binding splits its head. The statement's size and
+the widest expansion of one of its literals are read from that shape, and
+both are checked against the limit before any table of the statement is
+built, so a refused program costs neither the time nor the memory of its
+expansion.
+
+The records come out in source order, each statement expanded one binding
+after another, and may repeat. `format_program` puts a view in canonical
+order itself; the circuit wires the records as they come, merging repeats,
+and sorts only the statements that become generators.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .dsl import (
     AND,
@@ -41,19 +53,77 @@ from .errors import GroundingError
 MAX_GROUND_RULES = 10_000
 
 
-def _substitute(lit: Literal, binding: Mapping[str, str], atoms: dict) -> Literal:
-    """`lit` under `binding`, as the one object `atoms` keeps for it."""
-    # binding keys are variable names, which no constant can equal
-    names = tuple(binding.get(t.name, t.name) for t in lit.args)
-    key = (lit.predicate, names, lit.negative)  # as Literal.sort_key
-    if key not in atoms:
-        atoms[key] = Literal(lit.predicate, tuple(map(Term, names)), lit.negative)
-    return atoms[key]
+@dataclass(frozen=True)
+class GroundRecords:
+    """A ground program as integer records over wire ids.
+
+    Atom a is named `atoms[a]` ("p" or "p(c1,c2)"), its positive literal is
+    wire 2a and its negative one 2a + 1. Each record is a tuple (kind, head,
+    body, head connective, body connective, probability), kind being Rule,
+    Constraint or Choice and each side a tuple of wires; a constraint's or
+    a choice's literals are its body, and it leaves the other fields empty.
+    """
+
+    atoms: tuple[str, ...]
+    records: list[tuple]
+    domain: frozenset[str] = frozenset()
+
+    def statements(self, records: Iterable[tuple]) -> list[Statement]:
+        """The `Literal` view of `records`, one Literal per wire."""
+        return _view(self.atoms, records, {})
 
 
-def _assignments(variables: list[str], constants: list[str]) -> Iterator[dict[str, str]]:
-    for combo in itertools.product(constants, repeat=len(variables)):
-        yield dict(zip(variables, combo))
+def _view(atoms: Sequence[str], items: Iterable, literals: dict[int, Literal]) -> list[Statement]:
+    """`items` as statements: a statement stays as it is, and a record gets
+    one Literal per wire, the one `literals` holds or else one built from
+    its atom's name (or the negation of its partner's)."""
+    terms: dict[str, Term] = {}
+
+    def literal(wire: int) -> Literal:
+        if wire not in literals:
+            if (partner := literals.get(wire ^ 1)) is not None:
+                literals[wire] = partner.negated()
+            else:
+                predicate, _, rest = atoms[wire >> 1].partition("(")
+                args = rest[:-1].split(",") if rest else ()
+                args = tuple(terms.setdefault(a, Term(a)) for a in args)
+                literals[wire] = Literal(predicate, args, bool(wire & 1))
+        return literals[wire]
+
+    out: list[Statement] = []
+    for item in items:
+        if type(item) is not tuple:
+            out.append(item)
+            continue
+        kind, head, body, head_conn, body_conn, probability = item
+        body = tuple(map(literal, body))
+        if kind is Rule:
+            head = tuple(map(literal, head))
+            out.append(Rule(head, body, head_conn, body_conn, probability))
+        else:
+            out.append(kind(body))
+    return out
+
+
+def _wires(literals: Iterable[Literal], ids: dict[str, int]) -> tuple[int, ...]:
+    """The wires of ground `literals`, numbering each new atom in `ids`."""
+    return tuple([2 * ids.setdefault(l.atom_name, len(ids)) + l.negative for l in literals])
+
+
+def _record(stmt: Statement, ids: dict[str, int]) -> tuple:
+    """The record of a ground statement, its literals as they are."""
+    if isinstance(stmt, Rule):
+        wires, h = _wires(stmt.head + stmt.body, ids), len(stmt.head)
+        conns = stmt.head_connective, stmt.body_connective
+        return Rule, wires[:h], wires[h:], *conns, stmt.probability
+    return type(stmt), (), _wires(stmt.literals(), ids), None, None, None
+
+
+def _encode(program: Program) -> GroundRecords:
+    """The records of a ground program, statement by statement."""
+    ids: dict[str, int] = {}
+    records = [_record(stmt, ids) for stmt in program.statements]
+    return GroundRecords(tuple(ids), records, program.domain)
 
 
 def _collapses(choice: Choice, pool: list[str]) -> bool:
@@ -94,7 +164,7 @@ def _shape(stmt: Statement, variables: set[str], pool: list[str]) -> tuple[list[
     Those variables are the universal ones, plus the body-only ones of a
     conjunctive body of several literals; all variables of a constraint or
     choice; all variables when the pool has one constant. Every other
-    variable stays open and expands inside its own statement, as a
+    variable stays open and expands inside its own literal, as a
     disjunctive body or head. A split conjunctive head gives one rule per
     conjunct for each binding. Raises the statement's structural errors.
     """
@@ -122,61 +192,84 @@ def _shape(stmt: Statement, variables: set[str], pool: list[str]) -> tuple[list[
     return sorted(head_vars & body_vars), split
 
 
-def _instances(
-    stmt: Statement, bound: list[str], split: bool, constants: list[str], atoms: dict
-) -> Iterator[Statement]:
-    """The ground statements of `stmt`, one binding of `bound` at a time.
+def _braced(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
 
-    Every literal comes from `atoms`. Each literal is expanded over its own
-    open variables once, before the loop. A single-literal head or body that
-    widens becomes a disjunction, and so does each conjunct of a split head.
-    """
-    closed = set(bound)
 
-    def expand(lit: Literal) -> list[Literal]:
-        return [
-            _substitute(lit, a, atoms)
-            for a in _assignments(sorted(lit.variables() - closed), constants)
+def _table(lit: Literal, closed: list[str], pool: list[str], ids: dict[str, int]) -> dict:
+    """`lit`'s instances: for each assignment of its `closed` variables, the
+    wires of its expansion over its other (open) variables, in the order of
+    their sorted names. Keyed by the constant (one closed variable) or the
+    tuple of constants (none or two) that `itemgetter` reads off a binding."""
+    opened = sorted(lit.variables().difference(closed))
+    # the atom name with a format field per variable, closed ones first;
+    # variable names start uppercase, so no constant takes a field
+    field = {v: f"{{{i}}}" for i, v in enumerate(closed + opened)}
+    args = [field.get(t.name) or _braced(t.name) for t in lit.args]
+    name = (_braced(lit.predicate) + (f"({','.join(args)})" if args else "")).format
+    number, negative = ids.setdefault, lit.negative
+    keys = list(itertools.product(pool, repeat=len(closed)))
+    if opened:
+        more = list(itertools.product(pool, repeat=len(opened)))
+        wires = [
+            tuple([2 * number(name(*values, *m), len(ids)) + negative for m in more])
+            for values in keys
         ]
+    else:
+        wires = [(2 * number(name(*values), len(ids)) + negative,) for values in keys]
+    return dict(zip(pool if len(closed) == 1 else keys, wires))
 
-    def fill(literals: list[Literal], binding: dict[str, str]) -> tuple[Literal, ...]:
-        return tuple(dict.fromkeys(_substitute(l, binding, atoms) for l in literals))
+
+def _instances(
+    stmt: Statement, bound: list[str], split: bool, pool: list[str], ids: dict[str, int]
+) -> Iterator[tuple]:
+    """The records of `stmt`, one binding of `bound` at a time.
+
+    Each literal is instantiated once, into its table (`_table`); a binding
+    reads it through its column, the literal's expansions in binding order.
+    A side is the expansions of its literals joined, each wire once (one
+    literal's expansion never repeats a wire). A single-literal head or body
+    that widens becomes a disjunction, and so does each conjunct of a split
+    head.
+    """
+    position = {v: i for i, v in enumerate(bound)}
+    bindings = len(pool) ** len(bound)
+    repeat, chain = itertools.repeat, itertools.chain.from_iterable
+
+    def column(lit: Literal) -> Iterator[tuple[int, ...]]:
+        closed = sorted(lit.variables().intersection(position))
+        table = _table(lit, closed, pool, ids)
+        if not closed:
+            return repeat(table[()], bindings)
+        key = itemgetter(*(position[v] for v in closed))
+        return map(table.__getitem__, map(key, itertools.product(pool, repeat=len(bound))))
+
+    def side(literals: Iterable[Literal]) -> Iterator[tuple[int, ...]]:
+        columns = [column(lit) for lit in literals]
+        if len(columns) == 1:
+            return columns[0]
+        if not columns:
+            return repeat((), bindings)
+        return map(tuple, map(dict.fromkeys, map(chain, zip(*columns))))
 
     if not isinstance(stmt, Rule):
-        literals = list(stmt.literals())
-        for binding in _assignments(bound, constants):
-            yield type(stmt)(fill(literals, binding))
-        return
-
-    body = [inst for lit in stmt.body for inst in expand(lit)]
-    if split:
-        heads = [expand(lit) for lit in stmt.head]
+        return zip(repeat(type(stmt)), repeat(()), side(stmt.literals()), *repeat(repeat(None), 3))
+    if split:  # one record per head conjunct for each binding
+        heads = chain(zip(*map(column, stmt.head)))
+        bodies = chain(map(repeat, side(stmt.body), repeat(len(stmt.head))))
     else:
-        heads = [[inst for lit in stmt.head for inst in expand(lit)]]
+        heads, bodies = side(stmt.head), side(stmt.body)
     head_conn = OR if split or stmt.head_connective == SINGLE else stmt.head_connective
     body_conn = OR if stmt.body_connective == SINGLE else stmt.body_connective
-    for binding in _assignments(bound, constants):
-        ground_body = fill(body, binding)
-        for head in heads:
-            yield Rule(
-                fill(head, binding), ground_body, head_conn, body_conn, stmt.probability
-            )
+    fields = head_conn, body_conn, stmt.probability
+    return zip(repeat(Rule), heads, bodies, *map(repeat, fields))
 
 
-def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:
-    """Return the variable-free equivalent of `program`, in build order.
-
-    Statements come out in source order, each expanded one binding after
-    another, with duplicates kept; a ground statement passes through as is.
-    Built statements take their literals from one table per call that starts
-    from the input's own ground literals, so no ground literal is built twice.
-
-    Instantiation ranges over the declared domain plus any constants
-    introduced by ground facts. Raises GroundingError when a variable has no
-    constants to range over, when a statement has no flat expansion, or when
-    the output would exceed `max_rules`. Statements are checked in source
-    order, each before it is built, so the limit never waits for the work.
-    """
+def _ground(program: Program, max_rules: int) -> tuple[dict[str, int], list, list[int]]:
+    """The ground statements of `program`: the atom numbers met, the built
+    statements as records and the ground ones as they came, and the
+    positions of the latter. `ground_records` documents the order and the
+    errors."""
     constants = set(program.domain)
     for stmt in program.statements:
         if isinstance(stmt, Rule) and stmt.is_fact:
@@ -184,8 +277,9 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
                 constants.update(t.name for t in lit.args if not t.is_variable)
     pool = sorted(constants)
 
-    atoms = None  # built at the first expansion, so a refusal never pays for it
-    out: list[Statement] = []
+    ids: dict[str, int] = {}  # atom name -> atom number, in order of first meeting
+    items: list = []
+    given: list[int] = []
     for stmt in program.statements:
         variables = {t.name for lit in stmt.literals() for t in lit.args if t.is_variable}
         if variables and not pool:
@@ -195,13 +289,59 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
             )
         bound, split = _shape(stmt, variables, pool)
         size = len(pool) ** len(bound) * (len(stmt.head) if split else 1)
-        if len(out) + size > max_rules:
+        if len(items) + size > max_rules:
             raise GroundingError(
                 f"grounding produced more than {max_rules} statements; raise"
                 f" the limit (max_rules / --max-ground) to override"
             )
-        if variables and atoms is None:  # the input's ground literals are kept
-            ground = (l for s in program.statements for l in s.literals() if l.is_ground)
-            atoms = {l.sort_key(): l for l in ground}
-        out.extend(_instances(stmt, bound, split, pool, atoms) if variables else (stmt,))
-    return Program(tuple(out), program.domain)
+        if not variables:
+            given.append(len(items))
+            items.append(stmt)
+            continue
+        widest = max(len(pool) ** len(l.variables().difference(bound)) for l in stmt.literals())
+        if widest > max_rules:
+            raise GroundingError(
+                f"grounding would widen one literal of {stmt} into {widest}"
+                f" instances, more than {max_rules}; raise the limit"
+                f" (max_rules / --max-ground) to override"
+            )
+        items.extend(_instances(stmt, bound, split, pool, ids))
+    return ids, items, given
+
+
+def ground_records(program: Program, max_rules: int = MAX_GROUND_RULES) -> GroundRecords:
+    """The variable-free equivalent of `program` as integer records.
+
+    Records come out in source order, each statement expanded one binding
+    after another, with duplicates kept; a ground statement passes through
+    as it is, encoded once every statement is within the limits.
+
+    Instantiation ranges over the declared domain plus any constants
+    introduced by ground facts. Raises GroundingError when a variable has no
+    constants to range over, when a statement has no flat expansion, when
+    the output would exceed `max_rules` statements, or when one literal
+    would widen into more than `max_rules` instances. Statements are checked
+    in source order, each before it is built, so the limit never waits for
+    the work.
+    """
+    ids, records, given = _ground(program, max_rules)
+    for i in given:
+        records[i] = _record(records[i], ids)
+    return GroundRecords(tuple(ids), records, program.domain)
+
+
+def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:
+    """Return the variable-free equivalent of `program`, in build order: the
+    `Literal` view of `ground_records`, which documents the order, the
+    domain and the errors. A ground statement comes back as it came, and
+    the built ones share one Literal per ground literal, the input's own
+    where it has one."""
+    ids, items, given = _ground(program, max_rules)
+    if len(given) == len(items):
+        return Program(tuple(items), program.domain)
+    literals: dict[int, Literal] = {}
+    for i in given:
+        for lit in items[i].literals():
+            if (atom := ids.get(lit.atom_name)) is not None:
+                literals.setdefault(2 * atom + lit.negative, lit)
+    return Program(tuple(_view(tuple(ids), items, literals)), program.domain)

@@ -204,6 +204,13 @@ def load_vectors(text: str) -> dict[str, ConceptVector]:
                 raise VectorError(
                     f"{label}: component {json.dumps(value)} is not a JSON number"
                 )
+            try:
+                float(value)
+            except OverflowError:  # an integer past the largest float
+                digits = len(str(abs(value)))
+                raise VectorError(
+                    f"{label}: a component of {digits} digits is too large for a float"
+                ) from None
         vectors[label] = concept_vector(label, values)
     return vectors
 

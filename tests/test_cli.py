@@ -122,6 +122,21 @@ class TestSubcommands:
         assert code == 0
         assert out == "-a :- b, -p.\n-b :- a, -p.\np :- a, b.\n"
 
+    def test_complete_grounds_first(self, tmp_path):
+        path = write(tmp_path, "fo.ig", "#entity k1, k2.\np(k1).\n:- p(X), q(X).\n")
+        code, completed, err = run(["complete", path])
+        assert (code, err) == (0, "")
+        assert completed == (
+            "#entity k1, k2.\n-p(k1) :- q(k1).\n-p(k2) :- q(k2).\n"
+            "-q(k1) :- p(k1).\n-q(k2) :- p(k2).\np(k1).\n"
+        )
+        rules = write(tmp_path, "completed.ig", completed)
+        assert run(["eval", rules]) == run(["eval", path])
+        assert "q(k1): false\n" in run(["eval", path])[1]
+        code, out, err = run(["complete", path, "--max-ground", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("ig: grounding produced more than 2 statements")
+
     def test_complete_prints_the_rules_that_compile_wires(self, tmp_path):
         """`ig eval` of the `ig complete` output equals `ig eval` of the source.
 
@@ -380,6 +395,12 @@ class TestSubcommands:
         code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
         assert (code, out) == (2, "")
         assert err == f"ig: b: component {shown} is not a JSON number\n"
+
+    def test_vec_integer_too_large_for_a_float(self, tmp_path):
+        path = write(tmp_path, "v.json", '{"a": [1' + "0" * 400 + '], "b": [1, 2]}')
+        code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
+        assert (code, out) == (2, "")
+        assert err == "ig: a: a component of 401 digits is too large for a float\n"
 
     def test_vec_contrast_rejects_negative_max_steps(self, tmp_path):
         path = write(tmp_path, "v.json", json.dumps({"t": [3, 4], "u": [1, 1]}))

@@ -19,10 +19,8 @@ import pytest
 from igate.circuit import (
     EXACTLY_ONE,
     NONEMPTY_SUBSET,
-    Circuit,
     Gate,
     Generator,
-    _gate,
     compile_program,
     complete_constraint,
     export_dot,
@@ -51,6 +49,7 @@ from oracles import (
     random_ground_program,
     random_weighted_program,
 )
+from test_wire_differential import NamedCircuit, reference_gate
 
 SCORER = "pick"
 
@@ -59,7 +58,7 @@ SCORER = "pick"
 # Reference
 # ---------------------------------------------------------------------------
 
-def canonical_compile(program: Program, xor_scorer: str | None = None) -> Circuit:
+def canonical_compile(program: Program, xor_scorer: str | None = None) -> NamedCircuit:
     """Wire a ground program into a Circuit, after putting it in canonical
     order, so gates and generators are numbered the same whatever the order
     of its statements."""
@@ -107,11 +106,11 @@ def canonical_compile(program: Program, xor_scorer: str | None = None) -> Circui
 
         kind = OR if rule.body_connective == OR else AND
         for out in head_channels:
-            gate = _gate(kind, body_channels, out)
+            gate = reference_gate(kind, body_channels, out)
             if gate is not None:
                 gates.append(gate)
 
-    return Circuit(
+    return NamedCircuit(
         channels=frozenset(atoms).union("-" + a for a in atoms),
         gates=tuple(gates),
         generators=tuple(Generator(f"gen{g}", *s) for g, s in enumerate(generators)),
@@ -197,11 +196,11 @@ def outcome(compile_, program, xor_scorer=None):
         return type(exc), str(exc)
 
 
-def gate_multiset(circuit: Circuit) -> Counter:
+def gate_multiset(circuit) -> Counter:
     return Counter((g.kind, frozenset(g.inputs), g.output) for g in circuit.gates)
 
 
-def models(circuit: Circuit):
+def models(circuit):
     try:
         found = enumerate_models(circuit, 14, {SCORER: lambda alt: len(min(alt))})
     except GuardError as exc:
@@ -213,7 +212,7 @@ def assert_same_circuit(program: Program, xor_scorer=None) -> None:
     got = outcome(compile_program, program, xor_scorer)
     expected = outcome(canonical_compile, program, xor_scorer)
     text = "\n".join(map(str, program.statements))
-    if not isinstance(expected, Circuit):
+    if not isinstance(expected, NamedCircuit):
         assert got == expected, text
         return
     assert got.channels == expected.channels, text
@@ -249,7 +248,7 @@ class TestOnePassAgainstCanonicalCompile:
             Program((Rule((b,)), Choice((b, b)), Choice((a, a)))),
         ):
             got = outcome(compile_program, program)
-            assert not isinstance(got, Circuit)
+            assert not isinstance(got, NamedCircuit) and isinstance(got, tuple)
             assert got == outcome(canonical_compile, program)
 
     @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Grounder behavior and model preservation against the first-order oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from igate import grounding
 from igate.circuit import compile_program
 from igate.digital import enumerate_models
 from igate.dsl import format_program, parse_program
@@ -115,6 +117,37 @@ class TestGrounding:
         with pytest.raises(GroundingError, match="more than"):
             ground_program(parse_program(source), max_rules=100)
         ground_program(parse_program(source), max_rules=100_000)
+
+    def test_widening_guard(self):
+        constants = ", ".join(f"c{i}" for i in range(200))
+        program = parse_program(f"#entity {constants}.\nh :- e(Y, Z).")
+        with pytest.raises(GroundingError) as refused:
+            ground_program(program, max_rules=10)
+        assert str(refused.value) == (
+            "grounding would widen one literal of h :- e(Y, Z). into 40000"
+            " instances, more than 10; raise the limit (max_rules / --max-ground)"
+            " to override"
+        )
+        (rule,) = ground_program(program, max_rules=40_000).statements
+        assert len(rule.body) == 40_000 and rule.body_connective == "or"
+
+    def test_widening_guard_fires_before_any_table(self, monkeypatch):
+        # 2,000 constants would widen e(Y, Z) into 4M literals
+        constants = ", ".join(f"c{i}" for i in range(2000))
+        program = parse_program(f"#entity {constants}.\nh :- e(Y, Z).")
+
+        def no_table(*args):
+            raise AssertionError("a refused statement built an instance table")
+
+        monkeypatch.setattr(grounding, "_table", no_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroundingError, match="into 4000000 instances"):
+                grounding.ground_records(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_spanning_head_error_precedes_the_limit(self):
         # the statement that crosses the limit reports its own defect first

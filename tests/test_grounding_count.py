@@ -2,8 +2,9 @@
 
 `reference_statements` is the former instantiation loop, kept here as the
 reference: it builds every statement in full and only then compares the
-running output length with `max_rules`. It also refuses a ground choice
-whose alternatives are all one literal, as `ground_program` does.
+running output length with `max_rules`, and then the widest expansion of
+one of the statement's literals (`widening`). It also refuses a ground
+choice whose alternatives are all one literal, as `ground_program` does.
 `ground_program` reads each statement's size from its shape before building
 it, so at every limit it must return the same domain and statements
 (duplicates included, in any order) or raise the same error (type and
@@ -36,7 +37,7 @@ from igate.grounding import MAX_GROUND_RULES, ground_program
 from oracles import random_first_order_program
 
 
-ERRORS = ("more than", "spans", "collapsed", "domain is empty")
+ERRORS = ("produced more than", "widen", "spans", "collapsed", "domain is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,21 @@ def _ground_universally(literals, constants):
     ]
 
 
+def widening(stmt, pool):
+    """The instances of the widest literal of `stmt`: len(pool) to the
+    number of variables that literal expands over inside its own statement.
+    A head literal expands over its head-only variables, and a body literal
+    over its body-only ones unless the body is a conjunction of several."""
+    if not isinstance(stmt, Rule):
+        return 1
+    head_vars = set().union(*(l.variables() for l in stmt.head))
+    body_vars = set().union(*(l.variables() for l in stmt.body))
+    conjunction = len(stmt.body) > 1 and stmt.body_connective == AND
+    opened = [l.variables() - body_vars for l in stmt.head]
+    opened += [set() if conjunction else l.variables() - head_vars for l in stmt.body]
+    return max(len(pool) ** len(o) for o in opened)
+
+
 def reference_statements(program, max_rules=MAX_GROUND_RULES):
     """The ground statements before canonicalization, checked after building."""
     constants = set(program.domain)
@@ -183,6 +199,12 @@ def reference_statements(program, max_rules=MAX_GROUND_RULES):
             raise GroundingError(
                 f"grounding produced more than {max_rules} statements; raise"
                 f" the limit (max_rules / --max-ground) to override"
+            )
+        if (widest := widening(stmt, pool)) > max_rules:
+            raise GroundingError(
+                f"grounding would widen one literal of {stmt} into {widest}"
+                f" instances, more than {max_rules}; raise the limit"
+                f" (max_rules / --max-ground) to override"
             )
     return out
 
@@ -309,6 +331,7 @@ HAND_WRITTEN = [
     "#entity c1, c2, c3.\np(X) :- q(X, Z), r(Z, W), s(W).",
     "#entity c1, c2.\np(X) :- q(X, Y); r(Y).",
     "#entity c1, c2.\np :- q(Y).",
+    "#entity c1, c2, c3.\nh :- e(Y, Z).",
     "#entity c1, c2.\n0.3 :: p(X) :- q(X).",
     "#entity c1, c2.\n0.4 :: p(Y), q(Z) :- a(X), b(X).",
     "a.\np(X) :- q(X).",

@@ -179,3 +179,12 @@ class TestJsonInterchange:
     def test_components_must_be_json_numbers(self, component):
         with pytest.raises(VectorError, match=r"^b: component .* is not a JSON number$"):
             load_vectors(f'{{"a": [1, 2], "b": [1, {component}]}}')
+
+    def test_integer_too_large_for_a_float_names_its_label(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(
+            VectorError, match="^b: a component of 401 digits is too large for a float$"
+        ):
+            load_vectors(f'{{"a": [1, 2], "b": [1, {huge}]}}')
+        largest = int(np.finfo(float).max)  # still a float
+        assert load_vectors(f'{{"a": [{largest}]}}')["a"].components == (float(largest),)
