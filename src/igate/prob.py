@@ -3,10 +3,13 @@
 Every probability-annotated statement owns an independent Bernoulli
 switch. A world is one on/off assignment of all switches; its program is
 the deterministic statements plus the enabled annotated ones. The program
-is compiled once, with every switch as a channel ("$s0", a name the parser
-cannot produce) that each gate of its statement takes as an extra AND
-input: a disjunctive body splits into one gate per disjunct, and a fact
-becomes a gate from its switch alone. A query runs the digital kernel's
+is grounded to the grounder's integer records and compiled once: the
+unweighted records pass through as they are, and switch i is one more atom
+of the atom table ("$s{i}", a name the parser cannot produce) whose wire
+each gate of its statement takes as an extra AND input. A disjunctive body
+splits into one record per disjunct, and a fact becomes a gate from its
+switch alone. Only the annotated records are read as statements, once, to
+number the switches in canonical order. A query runs the digital kernel's
 one worklist (`digital._drain`) once, on reduced ordered BDDs of the
 switches in place of bytes (ProbLog's compilation), and takes the weighted
 model count of its consistent worlds: contradictory worlds are dropped and
@@ -23,29 +26,17 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .circuit import Circuit, compile_program
+from .circuit import Circuit, compile_records
 from .digital import Model, _activate, _contradictory, _drain, _fixpoint, _initial
 from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonical_statements
 from .errors import GuardError, ProbabilityError
-from .grounding import ground_program
+from .grounding import GroundRecords, _record, ground_records
 
 MAX_SWITCHES = 20
-
-
-@dataclass(frozen=True)
-class Switch:
-    """Independent Bernoulli enabling switch of one annotated statement."""
-
-    id: str
-    probability: float
-
-    @property
-    def channel(self) -> str:
-        """Input channel of the switch; no parsed atom name starts with "$"."""
-        return "$" + self.id
 
 
 @dataclass(frozen=True)
@@ -60,58 +51,42 @@ class WeightedWorld:
     outcome: Model | None
 
 
-def _split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]]:
-    """The unweighted statements, and the annotated ones with their switches,
-    numbered over their canonical text. As in canonical order, a disjunctive
-    head is reported before a choice."""
-    deterministic, weighted = [], []
-    for stmt in program.statements:
-        if isinstance(stmt, Rule) and stmt.head_connective in (OR, XOR):
+def _compile_weighted(
+    program: Program, max_switches: int
+) -> tuple[Circuit, list[float], list[int]]:
+    """The compiled circuit, the switch probabilities and the switches'
+    channel ids; one compile. Switch i belongs to the i-th annotated
+    statement in canonical order. As in canonical order, a disjunctive head
+    is reported before a choice."""
+    ground = ground_records(program)
+    records, annotated = [], []
+    for record in ground.records:
+        kind, head, _, head_conn, _, probability = record
+        if kind is Rule and head_conn in (OR, XOR) and len(head) > 1:
             raise ProbabilityError(
                 "probabilistic evaluation does not support disjunctive heads"
             )
-        if isinstance(stmt, Rule) and stmt.probability is not None:
-            weighted.append(stmt)
-        else:
-            deterministic.append(stmt)
-    if any(isinstance(stmt, Choice) for stmt in deterministic):
+        (records if probability is None else annotated).append(record)
+    if any(record[0] is Choice for record in records):
         raise ProbabilityError(
             "probabilistic evaluation does not support choice statements"
         )
-    ordered = canonical_statements(weighted)
-    return deterministic, [
-        (stmt, Switch(f"s{i}", stmt.probability)) for i, stmt in enumerate(ordered)
-    ]
-
-
-def _switched(rule: Rule, switch: Switch) -> list[Rule]:
-    """Deterministic rules that derive `rule`'s head only while `switch` is on."""
-    channel = Literal(switch.channel)
-    bodies = (
-        [(l,) for l in rule.body] if rule.body_connective == OR else [rule.body]
-    )
-    return [
-        Rule(rule.head, body + (channel,), rule.head_connective, AND)
-        for body in bodies
-    ]
-
-
-def _compile_weighted(
-    program: Program, max_switches: int
-) -> tuple[Circuit, list[Switch], list[int]]:
-    """The compiled circuit, its switches and their channel ids; one compile."""
-    program = ground_program(program)
-    deterministic, annotated = _split_statements(program)
     if len(annotated) > max_switches:
         raise GuardError(
             f"{len(annotated)} probabilistic switches exceed the limit"
             f" {max_switches}; raise --max-switches to override"
         )
-    for stmt, switch in annotated:
-        deterministic.extend(_switched(stmt, switch))
-    circuit = compile_program(Program(tuple(deterministic), program.domain))
-    switches = [switch for _, switch in annotated]
-    return circuit, switches, [circuit.index.ids[s.channel] for s in switches]
+    ids = dict(zip(ground.atoms, range(len(ground.atoms))))
+    probabilities = []
+    for i, stmt in enumerate(canonical_statements(ground.statements(annotated))):
+        _, head, body, head_conn, body_conn, p = _record(stmt, ids)
+        switch = 2 * ids.setdefault(f"$s{i}", len(ids))
+        bodies = [(w,) for w in body] if body_conn == OR else [body]
+        records += ((Rule, head, b + (switch,), head_conn, AND, None) for b in bodies)
+        probabilities.append(p)
+    circuit = compile_records(GroundRecords(tuple(ids), records, ground.domain))
+    channels = [circuit.index.ids[f"$s{i}"] for i in range(len(probabilities))]
+    return circuit, probabilities, channels
 
 
 def enumerate_worlds(
@@ -120,18 +95,18 @@ def enumerate_worlds(
     """All 2^n switch assignments with their weights and propagation outcomes,
     the switches ($s0, $s1, ...) numbered over the annotated statements'
     canonical text, whatever the order of the source statements."""
-    circuit, switches, channels = _compile_weighted(program, max_switches)
+    circuit, probabilities, channels = _compile_weighted(program, max_switches)
     # Weighted programs have no generators and propagation is monotone, so
     # every world extends the fixpoint of the facts by its switches.
     facts, pending = _initial(circuit, ())
     _fixpoint(circuit, facts, pending, {}, {})
     worlds: list[WeightedWorld] = []
-    for bits in itertools.product((False, True), repeat=len(switches)):
+    for bits in itertools.product((False, True), repeat=len(channels)):
         weight = 1.0
         assignment = []
-        for switch, on in zip(switches, bits):
-            weight *= switch.probability if on else 1.0 - switch.probability
-            assignment.append((switch.id, on))
+        for i, (p, on) in enumerate(zip(probabilities, bits)):
+            weight *= p if on else 1.0 - p
+            assignment.append((f"s{i}", on))
         active, pending = bytearray(facts), []
         _activate(active, pending, itertools.compress(channels, bits))
         _fixpoint(circuit, active, pending, {}, {})
@@ -222,8 +197,8 @@ def query_prob(
             raise ProbabilityError(
                 f"query and given literals must be ground, got {literal}"
             )
-    circuit, switches, channels = _compile_weighted(program, max_switches)
-    bdd = _BDD([switch.probability for switch in switches])
+    circuit, probabilities, channels = _compile_weighted(program, max_switches)
+    bdd = _BDD(probabilities)
     # The kernel's worklist over BDDs: a fact is true, switch i variable i.
     active, pending = _initial(circuit, ())
     value, apply = list(active), bdd.apply
@@ -302,7 +277,10 @@ class JointTable:
 
     @classmethod
     def from_dict(cls, table: Mapping[str, float]) -> JointTable:
-        """Build from {"a=1,b=0": mass, ...}; omitted assignments get 0."""
+        """Build from {"a=1,b=0": mass, ...}; omitted assignments get 0.
+        Each key names a proposition once, and each mass is a number."""
+        if not isinstance(table, Mapping):
+            raise ProbabilityError("the table is not an object of assignments to masses")
         parsed: list[tuple[dict[str, bool], float]] = []
         props: set[str] = set()
         for key, mass in table.items():
@@ -313,7 +291,11 @@ class JointTable:
                     raise ProbabilityError(
                         f"bad assignment {part.strip()!r}; expected name=0 or name=1"
                     )
-                values[name.strip()] = bit == "1"
+                if (name := name.strip()) in values:
+                    raise ProbabilityError(f"assignment {key!r} names {name!r} twice")
+                values[name] = bit == "1"
+            if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
+                raise ProbabilityError(f"the mass of {key!r} is not a number")
             props.update(values)
             parsed.append((values, float(mass)))
         ordered = tuple(sorted(props))
@@ -331,7 +313,11 @@ class JointTable:
 
     @classmethod
     def from_json(cls, text: str) -> JointTable:
-        return cls.from_dict(json.loads(text))
+        try:  # an integer mass reads as a float, so any length of it parses
+            table = json.loads(text, parse_int=float)
+        except json.JSONDecodeError as exc:
+            raise ProbabilityError(f"the table is not valid JSON: {exc}") from None
+        return cls.from_dict(table)
 
     def to_dict(self) -> dict[str, float]:
         return {

@@ -190,9 +190,22 @@ def detach(
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def _integer(digits: str) -> int:
+    """A JSON integer; one past the interpreter's limit on digits is refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise VectorError(
+            f"a component of {len(digits.lstrip('-'))} digits is too large for a float"
+        ) from None
+
+
 def load_vectors(text: str) -> dict[str, ConceptVector]:
     """Parse {"label": [components...], ...} into named vectors."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text, parse_int=_integer)
+    except json.JSONDecodeError as exc:
+        raise VectorError(f"the vectors are not valid JSON: {exc}") from None
     if not isinstance(data, Mapping):
         raise VectorError("expected a JSON object of name -> component array")
     vectors = {}

@@ -3,13 +3,17 @@
 Nothing here touches Circuit, propagate, or the grounder: the truth-table
 oracle filters raw sign assignments, the naive probabilistic oracle
 forward-chains (head, body) pairs over plain sets, and the first-order
-oracle instantiates quantifiers directly over the constant pool.
+oracle instantiates quantifiers directly over the constant pool. The
+former switch rewrite of the weighted engine is kept here too, on
+`Literal` statements; `former_compile_weighted` takes the grounder and the
+compiler it runs as arguments.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from igate.dsl import (
     AND,
@@ -23,7 +27,9 @@ from igate.dsl import (
     Program,
     Rule,
     Term,
+    canonical_statements,
 )
+from igate.errors import GuardError, ProbabilityError
 
 # ---------------------------------------------------------------------------
 # Truth-table oracle for constraint sets
@@ -134,6 +140,83 @@ def naive_query(program: Program, query: Literal, given=()) -> float:
             if holds(state, query):
                 numerator += weight
     return numerator / denominator
+
+
+# ---------------------------------------------------------------------------
+# The former switch rewrite of the weighted engine, on `Literal` statements
+# ---------------------------------------------------------------------------
+
+# A named tuple, not a dataclass: perfbench loads this file as a module that
+# is not in sys.modules, and a dataclass looks its module up there.
+class Switch(NamedTuple):
+    """Independent Bernoulli enabling switch of one annotated statement."""
+
+    id: str
+    probability: float
+
+    @property
+    def channel(self) -> str:
+        """Input channel of the switch; no parsed atom name starts with "$"."""
+        return "$" + self.id
+
+
+def split_statements(program: Program) -> tuple[list, list[tuple[Rule, Switch]]]:
+    """The unweighted statements of a ground program, and the annotated ones
+    with their switches, numbered over their canonical text. As in canonical
+    order, a disjunctive head is reported before a choice."""
+    deterministic, weighted = [], []
+    for stmt in program.statements:
+        if isinstance(stmt, Rule) and stmt.head_connective in (OR, XOR):
+            raise ProbabilityError(
+                "probabilistic evaluation does not support disjunctive heads"
+            )
+        if isinstance(stmt, Rule) and stmt.probability is not None:
+            weighted.append(stmt)
+        else:
+            deterministic.append(stmt)
+    if any(isinstance(stmt, Choice) for stmt in deterministic):
+        raise ProbabilityError(
+            "probabilistic evaluation does not support choice statements"
+        )
+    ordered = canonical_statements(weighted)
+    return deterministic, [
+        (stmt, Switch(f"s{i}", stmt.probability)) for i, stmt in enumerate(ordered)
+    ]
+
+
+def switched(program: Program) -> Program:
+    """The deterministic program the former weighted engine compiled: each
+    annotated rule derives its head only while its switch is on."""
+    deterministic, annotated = split_statements(program)
+    for rule, switch in annotated:
+        channel = Literal(switch.channel)
+        bodies = (
+            [(l,) for l in rule.body] if rule.body_connective == OR else [rule.body]
+        )
+        deterministic.extend(
+            Rule(rule.head, body + (channel,), rule.head_connective, AND)
+            for body in bodies
+        )
+    return Program(tuple(deterministic), program.domain)
+
+
+def former_compile_weighted(program: Program, max_switches: int, ground, compile_):
+    """The former `prob._compile_weighted` on the given grounder and compiler:
+    the circuit of the switched program, the switch probabilities and the
+    switches' channel ids."""
+    program = ground(program)
+    switches = [switch for _, switch in split_statements(program)[1]]
+    if len(switches) > max_switches:
+        raise GuardError(
+            f"{len(switches)} probabilistic switches exceed the limit"
+            f" {max_switches}; raise --max-switches to override"
+        )
+    circuit = compile_(switched(program))
+    return (
+        circuit,
+        [s.probability for s in switches],
+        [circuit.index.ids[s.channel] for s in switches],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def test_regression_grounding_guard_fires_before_the_work(tmp_path):
 
 def test_regression_switch_guard_fires_before_any_world(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(prob, "compile_program", lambda *a: calls.append(a))
+    monkeypatch.setattr(prob, "compile_records", lambda *a: calls.append(a))
     path = tmp_path / "switches.ig"
     path.write_text("".join(f"0.5 :: a{i}.\n" for i in range(40)))
     code, out, elapsed = timed_dispatch(["prob", str(path), "--query", "a0"])

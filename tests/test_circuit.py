@@ -19,12 +19,12 @@ from igate.digital import enumerate_models, propagate
 from igate.dsl import Program, canonicalize, format_program, parse_program
 from igate.errors import CircuitError
 from igate.grounding import ground_program
-from igate.prob import _split_statements, _switched
 
 from oracles import (
     random_first_order_program,
     random_ground_program,
     random_weighted_program,
+    switched,
     truth_table_models,
 )
 
@@ -255,10 +255,7 @@ def _index_circuits(seed, count=150):
             yield compile_program(ground_program(random_first_order_program(rng)))
         else:
             program = canonicalize(ground_program(random_weighted_program(rng)))
-            deterministic, annotated = _split_statements(program)
-            for stmt, switch in annotated:
-                deterministic.extend(_switched(stmt, switch))
-            yield compile_program(Program(tuple(deterministic), program.domain))
+            yield compile_program(switched(program))
 
 
 def _complement(name):

@@ -215,6 +215,20 @@ class TestSubcommands:
             assert (code, out) == (1, "")
             assert err.startswith("ig: --set names an atom not in the program: zz")
 
+    def test_eval_set_reads_the_wire_ids_not_the_named_view(self, tmp_path, monkeypatch):
+        from igate.circuit import Circuit
+
+        def unread(self):
+            raise AssertionError("ig eval built the named channel view")
+
+        monkeypatch.setattr(Circuit, "channels", property(unread))
+        path = write(tmp_path, "p.ig", "p :- a, b.")
+        code, out = dispatch(["eval", path, "--set", "a=true,-b=false"])
+        assert code == 0 and "p: true" in out
+        code, out, err = run(["eval", path, "--set", "zz=true"])
+        assert (code, out) == (1, "")
+        assert err == "ig: --set names an atom not in the program: zz\n"
+
     def test_eval_unresolved_generator(self, tmp_path):
         path = write(tmp_path, "p.ig", "a. p; q :- a.")
         code, _ = dispatch(["eval", path])
@@ -303,6 +317,27 @@ class TestSubcommands:
             code, out, err = run(["formulas", "--table", path, *flags])
             assert (code, out) == (2, "")
             assert err == "ig: masses must be finite\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "the table is not valid JSON: Expecting property name"),
+            ("[0.5, 0.5]", "the table is not an object of assignments to masses"),
+            ('{"a=1": [0.5], "a=0": 0.5}', "the mass of 'a=1' is not a number"),
+            ('{"a=1": "0.5", "a=0": 0.5}', "the mass of 'a=1' is not a number"),
+            ('{"a=1": true, "a=0": 0}', "the mass of 'a=1' is not a number"),
+            ('{"a=1,a=0": 1.0}', "assignment 'a=1,a=0' names 'a' twice"),
+            ('{"a=1": 1' + "0" * 4400 + ', "a=0": 0}', "masses must be finite"),
+        ],
+        ids=["not-json", "array", "list-mass", "string-mass", "bool-mass",
+             "repeated-name", "4401-digit-mass"],
+    )
+    def test_formulas_refuse_a_malformed_table(self, tmp_path, text, message):
+        path = write(tmp_path, "t.json", text)
+        for flags in (["--form", "1"], ["--compare"]):
+            code, out, err = run(["formulas", "--table", path, *flags])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"ig: {message}") and "Error" not in err
 
     def test_formulas_print_negative_values_like_positive_ones(self, tmp_path):
         table = {
@@ -401,6 +436,23 @@ class TestSubcommands:
         code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
         assert (code, out) == (2, "")
         assert err == "ig: a: a component of 401 digits is too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": [1, 3], "b": [1', "ig: the vectors are not valid JSON: Expecting"),
+            (
+                '{"a": [1, 3], "b": [-1' + "0" * 4400 + ", 1]}",
+                "ig: a component of 4401 digits is too large for a float\n",
+            ),
+        ],
+        ids=["not-json", "4401-digit-component"],
+    )
+    def test_vec_refuses_an_unreadable_file(self, tmp_path, text, message):
+        path = write(tmp_path, "v.json", text)
+        code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and "Error" not in err
 
     def test_vec_contrast_rejects_negative_max_steps(self, tmp_path):
         path = write(tmp_path, "v.json", json.dumps({"t": [3, 4], "u": [1, 1]}))

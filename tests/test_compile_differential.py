@@ -42,12 +42,12 @@ from igate.dsl import (
 )
 from igate.errors import CircuitError, GuardError, IgateError
 from igate.grounding import ground_program
-from igate.prob import _split_statements, _switched
 
 from oracles import (
     random_first_order_program,
     random_ground_program,
     random_weighted_program,
+    switched,
 )
 from test_wire_differential import NamedCircuit, reference_gate
 
@@ -121,14 +121,6 @@ def canonical_compile(program: Program, xor_scorer: str | None = None) -> NamedC
 # ---------------------------------------------------------------------------
 # Random programs
 # ---------------------------------------------------------------------------
-
-def switched(program: Program) -> Program:
-    """The deterministic program the weighted engine compiles."""
-    deterministic, annotated = _split_statements(program)
-    for stmt, switch in annotated:
-        deterministic.extend(_switched(stmt, switch))
-    return Program(tuple(deterministic), program.domain)
-
 
 def _copy(lit: Literal) -> Literal:
     # An equal literal that is not the same object, as a caller may build.

@@ -71,8 +71,8 @@ def former_query(program, query, given=(), max_switches=MAX_SWITCHES):
     seen = {}
 
     def run():
-        circuit, switches, channels = _compile_weighted(program, max_switches)
-        bdd = seen["bdd"] = _BDD([switch.probability for switch in switches])
+        circuit, probabilities, channels = _compile_weighted(program, max_switches)
+        bdd = seen["bdd"] = _BDD(probabilities)
         apply, value = bdd.apply, _derivations(circuit, channels, bdd)
         seen["value"] = list(value)
         for c in channels:  # the switches stay out of the outcome
@@ -201,11 +201,11 @@ def test_channel_bdds_agree_with_digital_propagation_world_by_world():
         query = random_literal(rng)
         result, bdd, value = traced_query(program, query)
         assert value is not None, result
-        circuit, switches, channels = _compile_weighted(program, MAX_SWITCHES)
+        circuit, _, channels = _compile_weighted(program, MAX_SWITCHES)
         names = circuit.index.names
-        every = list(itertools.product((False, True), repeat=len(switches)))
+        every = list(itertools.product((False, True), repeat=len(channels)))
         for bits in rng.sample(every, min(len(every), 16)):
-            on = [s.channel for s, bit in zip(switches, bits) if bit]
+            on = ["$s" + str(i) for i, bit in enumerate(bits) if bit]
             active = propagate(circuit, on)
             for c, name in enumerate(names):
                 assert holds_at(bdd, value[c], bits) == (name in active), (

@@ -32,12 +32,13 @@ from igate.digital import (
 from igate.dsl import Program, canonicalize, format_program, parse_program
 from igate.errors import GuardError, UnresolvedGeneratorError
 from igate.grounding import ground_program
-from igate.prob import WeightedWorld, _split_statements, enumerate_worlds
+from igate.prob import WeightedWorld, enumerate_worlds
 
 from oracles import (
     random_first_order_program,
     random_ground_program,
     random_weighted_program,
+    split_statements,
 )
 
 SCORER = "pick"
@@ -143,7 +144,7 @@ def sweep_enumerate_models(circuit, max_choice_bits, scorers, inputs):
 def recompiled_worlds(program):
     """Weighted worlds by compiling each world's enabled statements anew."""
     program = canonicalize(ground_program(program))
-    deterministic, annotated = _split_statements(program)
+    deterministic, annotated = split_statements(program)
     worlds = []
     for bits in itertools.product((False, True), repeat=len(annotated)):
         weight = 1.0

@@ -443,6 +443,17 @@ class TestJointTable:
         with pytest.raises(ProbabilityError, match="name=0"):
             JointTable.from_dict({"a=2": 1.0})
 
+    def test_from_dict_checks_a_python_table_too(self):
+        with pytest.raises(ProbabilityError, match="not an object"):
+            JointTable.from_dict([("a=1", 1.0)])
+        with pytest.raises(ProbabilityError, match="^the mass of 'a=1' is not a number$"):
+            JointTable.from_dict({"a=1": None, "a=0": 1.0})
+        with pytest.raises(ProbabilityError, match="^assignment 'a=1,b=0,a=1' names 'a' twice$"):
+            JointTable.from_dict({"a=1,b=0,a=1": 1.0})
+
+    def test_integer_masses_read_as_floats(self):
+        assert JointTable.from_json('{"a=1": 1, "a=0": 0}').masses == (0.0, 1.0)
+
 
 class TestFormulas:
     def test_exclusive_events_cannot_overlap(self):

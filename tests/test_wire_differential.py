@@ -11,7 +11,9 @@ first-order and weighted programs, shuffled and repeated, and on the seeded
 benchmark shapes, the two pipelines must give the same ground statements,
 channel names, facts, alternatives, watch lists (as multisets per wire),
 gate views in the same order, DOT text, models with provenance, query
-values (`==`), CLI text, and the same error type and text at every limit.
+values (`==`; the reference compiles through the former switch rewrite,
+`oracles.former_compile_weighted`), CLI text, and the same error type and
+text at every limit.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from igate.grounding import (
 from igate.prob import query_prob
 
 from oracles import (
+    former_compile_weighted,
     random_first_order_program,
     random_ground_program,
     random_weighted_program,
@@ -506,9 +509,13 @@ class TestQueries:
     def reference_query(monkeypatch, program, query, given):
         from igate import prob
 
+        def former(program, max_switches):
+            return former_compile_weighted(
+                program, max_switches, reference_ground_program, reference_compile
+            )
+
         with monkeypatch.context() as patched:
-            patched.setattr(prob, "ground_program", reference_ground_program)
-            patched.setattr(prob, "compile_program", reference_compile)
+            patched.setattr(prob, "_compile_weighted", former)
             return outcome(query_prob, program, query, given)
 
     def test_random_and_workload_queries(self, monkeypatch):
