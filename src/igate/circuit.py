@@ -29,7 +29,6 @@ from .dsl import (
     Program,
     Rule,
     atom_literal,
-    canonical_statements,
 )
 from .errors import CircuitError
 from .grounding import GroundRecords, _encode
@@ -221,7 +220,7 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     does not depend on the order. A head feeding on itself adds nothing
     under monotone propagation: such an AND gate is dropped, and such an OR
     gate reduces to its other inputs. Only the records that become
-    generators are put in canonical order (through their `Literal` view),
+    generators are put in canonical order (`GroundRecords.canonical`),
     so generators (gen0, gen1, ...) are numbered the same whatever the
     order of the statements.
     """
@@ -284,34 +283,30 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     generators: list[Generator] = []
     alternatives: list[tuple[tuple[int, ...], ...]] = []
     ready: list[int] = []
-    ids = dict(zip(names, range(len(names)))) if generative else {}
-    for stmt in canonical_statements(ground.statements(generative)):
-        if isinstance(stmt, Choice):
-            choice, cardinality, scorer = stmt.literals_, EXACTLY_ONE, None
-            guards: list[tuple[str, ...]] = [()]
+    for kind, head, body, head_conn, body_conn, _ in ground.canonical(generative):
+        if kind is Choice:
+            choice, cardinality, scorer = body, EXACTLY_ONE, None
+            guards: list[tuple[int, ...]] = [()]
         else:
-            choice = stmt.head
-            exclusive = stmt.head_connective == XOR
+            choice = head
+            exclusive = head_conn == XOR
             cardinality = EXACTLY_ONE if exclusive else NONEMPTY_SUBSET
             scorer = xor_scorer if exclusive else None
-            body_channels = tuple(l.channel for l in stmt.body)
+            body = tuple(map(wire, body))
             # Disjunctive bodies split into one guard per disjunct, the
             # equivalent conjunction-free form.
-            guards = (
-                [(c,) for c in body_channels]
-                if stmt.body_connective == OR
-                else [body_channels]
-            )
-        channels = tuple(frozenset({l.channel}) for l in choice)
+            guards = [(c,) for c in body] if body_conn == OR else [body]
+        choice = tuple(map(wire, choice))
+        channels = tuple(frozenset({names[c]}) for c in choice)
         for guard in guards:
             g = len(generators)
-            generators.append(Generator(f"gen{g}", channels, cardinality, guard, scorer))
-            alternatives.append(tuple((ids[l.channel],) for l in choice))
-            inputs = tuple(ids[c] for c in guard)
-            entry = (len(names) + g, inputs if len(inputs) > 1 else ())
-            for c in inputs:
+            named = tuple(names[c] for c in guard)
+            generators.append(Generator(f"gen{g}", channels, cardinality, named, scorer))
+            alternatives.append(tuple((c,) for c in choice))
+            entry = (len(names) + g, guard if len(guard) > 1 else ())
+            for c in guard:
                 watch[c].append(entry)
-            if not inputs:  # an unguarded generator is ready from the start
+            if not guard:  # an unguarded generator is ready from the start
                 ready.append(len(names) + g)
     watch += ([] for _ in generators)
 
@@ -325,7 +320,7 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
 def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
     """Wire a ground program into a Circuit: its statements pass through the
     records of the grounder unchanged, and `compile_records` wires them."""
-    if not all(lit.is_ground for stmt in program.statements for lit in stmt.literals()):
+    if not program.is_ground:
         raise CircuitError("compilation requires a ground program; ground it first")
     return compile_records(_encode(program), xor_scorer)
 
@@ -338,9 +333,9 @@ def export_dot(circuit: Circuit) -> str:
     """Graphviz text form: channels as ellipses (negative dashed), gates as
     boxes, generators as diamonds; only referenced channels are drawn.
 
-    Gates are drawn in the order of the statements they were wired from;
-    compile a canonicalized program (`ig compile --dot` does) to draw the
-    same text whatever the order of the source statements."""
+    Gates are drawn in the order of the records they were wired from;
+    `ig compile` wires them in canonical order (`GroundRecords.canonical`),
+    so its drawing does not depend on the order of the statements."""
     referenced: set[str] = set(circuit.facts)
     for gate in circuit.gates:
         referenced.update(gate.inputs)

@@ -134,10 +134,10 @@ def _cmd_ground(args, out) -> int:
 
 
 def _cmd_compile(args, out) -> int:
-    program = grounding.ground_program(_load_program(args.file), args.max_ground)
-    if args.dot:  # gates are drawn in statement order; draw them in canonical order
-        program = dsl.canonicalize(program)
-    compiled = circuit_mod.compile_program(program)
+    ground = grounding.ground_records(_load_program(args.file), args.max_ground)
+    # gates are drawn in record order; draw them in canonical order
+    ground = dataclasses.replace(ground, records=ground.canonical(ground.records))
+    compiled = circuit_mod.compile_records(ground)
     if args.dot:
         _write_file(args.dot, circuit_mod.export_dot(compiled))
     print(

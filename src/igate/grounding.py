@@ -25,9 +25,9 @@ built, so a refused program costs neither the time nor the memory of its
 expansion.
 
 The records come out in source order, each statement expanded one binding
-after another, and may repeat. `format_program` puts a view in canonical
-order itself; the circuit wires the records as they come, merging repeats,
-and sorts only the statements that become generators.
+after another, and may repeat. `GroundRecords.canonical` is the one place
+outside `igate.dsl` that puts them in canonical order: for the circuit's
+generators, the weighted engine's switches and `ig compile`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .dsl import (
     AND,
@@ -47,6 +47,7 @@ from .dsl import (
     Rule,
     Statement,
     Term,
+    canonical_statements,
 )
 from .errors import GroundingError
 
@@ -62,6 +63,7 @@ class GroundRecords:
     body, head connective, body connective, probability), kind being Rule,
     Constraint or Choice and each side a tuple of wires; a constraint's or
     a choice's literals are its body, and it leaves the other fields empty.
+    `statements` and `canonical` take any records over this atom table.
     """
 
     atoms: tuple[str, ...]
@@ -70,39 +72,38 @@ class GroundRecords:
 
     def statements(self, records: Iterable[tuple]) -> list[Statement]:
         """The `Literal` view of `records`, one Literal per wire."""
-        return _view(self.atoms, records, {})
+        atoms = self.atoms
+        terms: dict[str, Term] = {}
+        literals: dict[int, Literal] = {}
 
+        def literal(wire: int) -> Literal:
+            if wire not in literals:
+                if (partner := literals.get(wire ^ 1)) is not None:
+                    literals[wire] = partner.negated()
+                else:
+                    predicate, _, rest = atoms[wire >> 1].partition("(")
+                    args = rest[:-1].split(",") if rest else ()
+                    args = tuple(terms.setdefault(a, Term(a)) for a in args)
+                    literals[wire] = Literal(predicate, args, bool(wire & 1))
+            return literals[wire]
 
-def _view(atoms: Sequence[str], items: Iterable, literals: dict[int, Literal]) -> list[Statement]:
-    """`items` as statements: a statement stays as it is, and a record gets
-    one Literal per wire, the one `literals` holds or else one built from
-    its atom's name (or the negation of its partner's)."""
-    terms: dict[str, Term] = {}
-
-    def literal(wire: int) -> Literal:
-        if wire not in literals:
-            if (partner := literals.get(wire ^ 1)) is not None:
-                literals[wire] = partner.negated()
+        out: list[Statement] = []
+        for kind, head, body, head_conn, body_conn, probability in records:
+            body = tuple(map(literal, body))
+            if kind is Rule:
+                head = tuple(map(literal, head))
+                out.append(Rule(head, body, head_conn, body_conn, probability))
             else:
-                predicate, _, rest = atoms[wire >> 1].partition("(")
-                args = rest[:-1].split(",") if rest else ()
-                args = tuple(terms.setdefault(a, Term(a)) for a in args)
-                literals[wire] = Literal(predicate, args, bool(wire & 1))
-        return literals[wire]
+                out.append(kind(body))
+        return out
 
-    out: list[Statement] = []
-    for item in items:
-        if type(item) is not tuple:
-            out.append(item)
-            continue
-        kind, head, body, head_conn, body_conn, probability = item
-        body = tuple(map(literal, body))
-        if kind is Rule:
-            head = tuple(map(literal, head))
-            out.append(Rule(head, body, head_conn, body_conn, probability))
-        else:
-            out.append(kind(body))
-    return out
+    def canonical(self, records: Iterable[tuple]) -> list[tuple]:
+        """`records` in the order of `canonical_statements`, each re-encoded
+        over the same atom numbers: literals sorted and unique, identical
+        unweighted records merged, every weighted one kept."""
+        records = list(records)
+        ids = {self.atoms[w >> 1]: w >> 1 for r in records for w in r[1] + r[2]}
+        return [_record(stmt, ids) for stmt in canonical_statements(self.statements(records))]
 
 
 def _wires(literals: Iterable[Literal], ids: dict[str, int]) -> tuple[int, ...]:
@@ -265,56 +266,13 @@ def _instances(
     return zip(repeat(Rule), heads, bodies, *map(repeat, fields))
 
 
-def _ground(program: Program, max_rules: int) -> tuple[dict[str, int], list, list[int]]:
-    """The ground statements of `program`: the atom numbers met, the built
-    statements as records and the ground ones as they came, and the
-    positions of the latter. `ground_records` documents the order and the
-    errors."""
-    constants = set(program.domain)
-    for stmt in program.statements:
-        if isinstance(stmt, Rule) and stmt.is_fact:
-            for lit in stmt.head:
-                constants.update(t.name for t in lit.args if not t.is_variable)
-    pool = sorted(constants)
-
-    ids: dict[str, int] = {}  # atom name -> atom number, in order of first meeting
-    items: list = []
-    given: list[int] = []
-    for stmt in program.statements:
-        variables = {t.name for lit in stmt.literals() for t in lit.args if t.is_variable}
-        if variables and not pool:
-            raise GroundingError(
-                f"statement {stmt} has variables but the domain is empty;"
-                f" declare constants with #entity"
-            )
-        bound, split = _shape(stmt, variables, pool)
-        size = len(pool) ** len(bound) * (len(stmt.head) if split else 1)
-        if len(items) + size > max_rules:
-            raise GroundingError(
-                f"grounding produced more than {max_rules} statements; raise"
-                f" the limit (max_rules / --max-ground) to override"
-            )
-        if not variables:
-            given.append(len(items))
-            items.append(stmt)
-            continue
-        widest = max(len(pool) ** len(l.variables().difference(bound)) for l in stmt.literals())
-        if widest > max_rules:
-            raise GroundingError(
-                f"grounding would widen one literal of {stmt} into {widest}"
-                f" instances, more than {max_rules}; raise the limit"
-                f" (max_rules / --max-ground) to override"
-            )
-        items.extend(_instances(stmt, bound, split, pool, ids))
-    return ids, items, given
-
-
 def ground_records(program: Program, max_rules: int = MAX_GROUND_RULES) -> GroundRecords:
     """The variable-free equivalent of `program` as integer records.
 
     Records come out in source order, each statement expanded one binding
-    after another, with duplicates kept; a ground statement passes through
-    as it is, encoded once every statement is within the limits.
+    after another, with duplicates kept; a statement that comes in ground
+    is encoded once every statement is within the limits, so a refused
+    program encodes nothing.
 
     Instantiation ranges over the declared domain plus any constants
     introduced by ground facts. Raises GroundingError when a variable has no
@@ -324,7 +282,42 @@ def ground_records(program: Program, max_rules: int = MAX_GROUND_RULES) -> Groun
     in source order, each before it is built, so the limit never waits for
     the work.
     """
-    ids, records, given = _ground(program, max_rules)
+    constants = set(program.domain)
+    for stmt in program.statements:
+        if isinstance(stmt, Rule) and stmt.is_fact:
+            for lit in stmt.head:
+                constants.update(t.name for t in lit.args if not t.is_variable)
+    pool = sorted(constants)
+
+    ids: dict[str, int] = {}  # atom name -> atom number, in order of first meeting
+    records: list = []
+    given: list[int] = []  # the positions of the statements that came in ground
+    for stmt in program.statements:
+        variables = {t.name for lit in stmt.literals() for t in lit.args if t.is_variable}
+        if variables and not pool:
+            raise GroundingError(
+                f"statement {stmt} has variables but the domain is empty;"
+                f" declare constants with #entity"
+            )
+        bound, split = _shape(stmt, variables, pool)
+        size = len(pool) ** len(bound) * (len(stmt.head) if split else 1)
+        if len(records) + size > max_rules:
+            raise GroundingError(
+                f"grounding produced more than {max_rules} statements; raise"
+                f" the limit (max_rules / --max-ground) to override"
+            )
+        if not variables:
+            given.append(len(records))
+            records.append(stmt)
+            continue
+        widest = max(len(pool) ** len(l.variables().difference(bound)) for l in stmt.literals())
+        if widest > max_rules:
+            raise GroundingError(
+                f"grounding would widen one literal of {stmt} into {widest}"
+                f" instances, more than {max_rules}; raise the limit"
+                f" (max_rules / --max-ground) to override"
+            )
+        records.extend(_instances(stmt, bound, split, pool, ids))
     for i in given:
         records[i] = _record(records[i], ids)
     return GroundRecords(tuple(ids), records, program.domain)
@@ -333,15 +326,6 @@ def ground_records(program: Program, max_rules: int = MAX_GROUND_RULES) -> Groun
 def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:
     """Return the variable-free equivalent of `program`, in build order: the
     `Literal` view of `ground_records`, which documents the order, the
-    domain and the errors. A ground statement comes back as it came, and
-    the built ones share one Literal per ground literal, the input's own
-    where it has one."""
-    ids, items, given = _ground(program, max_rules)
-    if len(given) == len(items):
-        return Program(tuple(items), program.domain)
-    literals: dict[int, Literal] = {}
-    for i in given:
-        for lit in items[i].literals():
-            if (atom := ids.get(lit.atom_name)) is not None:
-                literals.setdefault(2 * atom + lit.negative, lit)
-    return Program(tuple(_view(tuple(ids), items, literals)), program.domain)
+    domain and the errors."""
+    ground = ground_records(program, max_rules)
+    return Program(tuple(ground.statements(ground.records)), program.domain)

@@ -8,12 +8,12 @@ unweighted records pass through as they are, and switch i is one more atom
 of the atom table ("$s{i}", a name the parser cannot produce) whose wire
 each gate of its statement takes as an extra AND input. A disjunctive body
 splits into one record per disjunct, and a fact becomes a gate from its
-switch alone. Only the annotated records are read as statements, once, to
-number the switches in canonical order. A query runs the digital kernel's
-one worklist (`digital._drain`) once, on reduced ordered BDDs of the
-switches in place of bytes (ProbLog's compilation), and takes the weighted
-model count of its consistent worlds: contradictory worlds are dropped and
-the remaining mass renormalized. A query or given literal must be ground.
+switch alone. Switch i belongs to the i-th annotated record in canonical
+order (`GroundRecords.canonical`). A query runs the digital kernel's one
+worklist (`digital._drain`) once, on reduced ordered BDDs of the switches
+in place of bytes (ProbLog's compilation), and takes the weighted model
+count of its consistent worlds: contradictory worlds are dropped and the
+remaining mass renormalized. A query or given literal must be ground.
 `enumerate_worlds` still lists the worlds, one kernel run each. The six
 dependency forms are additionally computed literally over an explicit joint
 distribution, next to an exact conditional oracle, so their agreements and
@@ -32,9 +32,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import Circuit, compile_records
 from .digital import Model, _activate, _contradictory, _drain, _fixpoint, _initial
-from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, canonical_statements
+from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule
 from .errors import GuardError, ProbabilityError
-from .grounding import GroundRecords, _record, ground_records
+from .grounding import GroundRecords, ground_records
 
 MAX_SWITCHES = 20
 
@@ -76,16 +76,15 @@ def _compile_weighted(
             f"{len(annotated)} probabilistic switches exceed the limit"
             f" {max_switches}; raise --max-switches to override"
         )
-    ids = dict(zip(ground.atoms, range(len(ground.atoms))))
-    probabilities = []
-    for i, stmt in enumerate(canonical_statements(ground.statements(annotated))):
-        _, head, body, head_conn, body_conn, p = _record(stmt, ids)
-        switch = 2 * ids.setdefault(f"$s{i}", len(ids))
+    annotated = ground.canonical(annotated)
+    atoms = ground.atoms + tuple(f"$s{i}" for i in range(len(annotated)))
+    for i, (_, head, body, head_conn, body_conn, _) in enumerate(annotated):
+        switch = 2 * (len(ground.atoms) + i)
         bodies = [(w,) for w in body] if body_conn == OR else [body]
         records += ((Rule, head, b + (switch,), head_conn, AND, None) for b in bodies)
-        probabilities.append(p)
-    circuit = compile_records(GroundRecords(tuple(ids), records, ground.domain))
-    channels = [circuit.index.ids[f"$s{i}"] for i in range(len(probabilities))]
+    circuit = compile_records(GroundRecords(atoms, records, ground.domain))
+    probabilities = [record[5] for record in annotated]
+    channels = [circuit.index.ids[a] for a in atoms[len(ground.atoms) :]]
     return circuit, probabilities, channels
 
 
@@ -237,6 +236,16 @@ def query_prob(
 Event = Callable[[Mapping[str, bool]], bool]
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key written twice is refused, not overwritten."""
+    table: dict = {}
+    for key, value in pairs:
+        if key in table:
+            raise ProbabilityError(f"the table repeats the key {key!r}")
+        table[key] = value
+    return table
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Explicit joint distribution over named Boolean propositions."""
@@ -314,7 +323,7 @@ class JointTable:
     @classmethod
     def from_json(cls, text: str) -> JointTable:
         try:  # an integer mass reads as a float, so any length of it parses
-            table = json.loads(text, parse_int=float)
+            table = json.loads(text, parse_int=float, object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise ProbabilityError(f"the table is not valid JSON: {exc}") from None
         return cls.from_dict(table)

@@ -200,10 +200,20 @@ def _integer(digits: str) -> int:
         ) from None
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key written twice is refused, not overwritten."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise VectorError(f"the vectors repeat the key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_vectors(text: str) -> dict[str, ConceptVector]:
     """Parse {"label": [components...], ...} into named vectors."""
     try:
-        data = json.loads(text, parse_int=_integer)
+        data = json.loads(text, parse_int=_integer, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise VectorError(f"the vectors are not valid JSON: {exc}") from None
     if not isinstance(data, Mapping):

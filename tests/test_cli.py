@@ -339,6 +339,13 @@ class TestSubcommands:
             assert (code, out) == (2, "")
             assert err.startswith(f"ig: {message}") and "Error" not in err
 
+    def test_formulas_refuse_a_repeated_key(self, tmp_path):
+        text = '{"a=1,b=0": 0.5, "a=0,b=1": 0.25, "a=1,b=0": 0.25}'
+        path = write(tmp_path, "t.json", text)
+        for flags in (["--form", "1"], ["--compare"]):
+            code, out, err = run(["formulas", "--table", path, *flags])
+            assert (code, out, err) == (2, "", "ig: the table repeats the key 'a=1,b=0'\n")
+
     def test_formulas_print_negative_values_like_positive_ones(self, tmp_path):
         table = {
             "a=1,b=1,p=1": 0.01,
@@ -453,6 +460,11 @@ class TestSubcommands:
         code, out, err = run(["vec", "fuse", "--vectors", path, "--pair", "a,b"])
         assert (code, out) == (2, "")
         assert err.startswith(message) and "Error" not in err
+
+    def test_vec_refuses_a_repeated_key(self, tmp_path):
+        path = write(tmp_path, "v.json", '{"a": [1, 2], "a": [5, 6], "b": [1, 1]}')
+        code, out, err = run(["vec", "merge", "--vectors", path, "--parts", "a,b"])
+        assert (code, out, err) == (2, "", "ig: the vectors repeat the key 'a'\n")
 
     def test_vec_contrast_rejects_negative_max_steps(self, tmp_path):
         path = write(tmp_path, "v.json", json.dumps({"t": [3, 4], "u": [1, 1]}))

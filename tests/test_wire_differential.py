@@ -61,6 +61,7 @@ from igate.dsl import (
 from igate.errors import CircuitError, GroundingError, GuardError, IgateError
 from igate.grounding import (
     MAX_GROUND_RULES,
+    GroundRecords,
     _shape,
     ground_program,
     ground_records,
@@ -454,6 +455,49 @@ class TestGroundingView:
             by_wire: dict = {}
             for lit in (l for s in view.statements for l in s.literals()):
                 assert by_wire.setdefault(lit, lit) is lit
+
+
+class TestCanonicalRecords:
+    """`GroundRecords.canonical` reads as `canonical_statements` of the view."""
+
+    @staticmethod
+    def assert_canonical(ground, records) -> list:
+        got = outcome(lambda: ground.statements(ground.canonical(records)))
+        expected = outcome(lambda: list(canonical_statements(ground.statements(records))))
+        assert got == expected, format_program(Program(tuple(ground.statements(records))))
+        return got if isinstance(got, list) else []
+
+    def test_random_and_workload_programs(self):
+        rng = random.Random(1608)
+        cases = [*programs(1609, 1200), *workload_programs(9)]
+        cases += [c if isinstance(c, Program) else parse_program(c) for c in HAND_WRITTEN]
+        checked = 0
+        for program in cases:
+            ground = outcome(ground_records, program)
+            if isinstance(ground, tuple):
+                continue
+            self.assert_canonical(ground, ground.records)
+            self.assert_canonical(ground, rng.sample(ground.records, len(ground.records) // 2))
+            checked += 1
+        assert checked > 1000
+
+    def test_hand_written_cases(self):
+        for source, count in (
+            ("a :- b, b, c.\nx; x; y :- z, z.\n:- c, -c, c.", 3),  # repeated literals
+            ("0.5 :: a :- b.\n0.5 :: a :- b, b.\n0.5 :: a.\n0.5 :: a.", 4),  # weighted kept
+            ("p :- a, b.\np :- b, a.\np :- a; b.\n:- a, b.\n:- b, a, b.", 3),  # merged
+            ("1{-a; a}1.\n1{a; -a}1.\n1{-b; c; -c}1.\n1{-c; -b; c}1.", 2),  # negations
+            ("#entity k1, k2.\n0.3 :: p(X) :- q(X), q(X).\nr(X) :- p(X).\nr(k1) :- p(k1).", 4),
+        ):
+            ground = ground_records(parse_program(source))
+            assert len(self.assert_canonical(ground, ground.records)) == count, source
+            wires = {w for record in ground.records for w in record[1] + record[2]}
+            for record in ground.canonical(ground.records):  # over the same atom numbers
+                assert set(record[1] + record[2]) <= wires
+        # a choice that repeats its one alternative (grounding refuses it)
+        ground = GroundRecords(("a",), [(Choice, (), (0, 0), None, None, None)])
+        assert self.assert_canonical(ground, ground.records) == []
+        assert outcome(ground.canonical, ground.records)[0] is ValueError
 
 
 class TestCircuit:
