@@ -19,9 +19,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Sequence
 
-from . import circuit as circuit_mod
-from . import classify as classify_mod
-from . import digital, dsl, grounding, learn, prob, vectors
+# Each command imports the layers it runs, so a fresh `ig ground` loads
+# neither the circuit nor numpy.
+from . import dsl, grounding
 from .errors import IgateError
 
 
@@ -71,10 +71,10 @@ def _load_program(path: str) -> dsl.Program:
     return dsl.parse_program(_read_file(path))
 
 
-def _max_choices(args) -> int:
+def _max_choices(args, default: int) -> int:
     if args.max_choices is not None:
         return args.max_choices
-    env = os.environ.get("IG_MAX_CHOICES") or str(digital.MAX_CHOICE_BITS)
+    env = os.environ.get("IG_MAX_CHOICES") or str(default)
     if not env.isdecimal():
         raise _UsageError(f"IG_MAX_CHOICES must be a non-negative integer, got {env!r}")
     return int(env)
@@ -134,6 +134,8 @@ def _cmd_ground(args, out) -> int:
 
 
 def _cmd_compile(args, out) -> int:
+    from . import circuit as circuit_mod
+
     ground = grounding.ground_records(_load_program(args.file), args.max_ground)
     # gates are drawn in record order; draw them in canonical order
     ground = dataclasses.replace(ground, records=ground.canonical(ground.records))
@@ -149,6 +151,8 @@ def _cmd_compile(args, out) -> int:
 
 
 def _cmd_complete(args, out) -> int:
+    from . import circuit as circuit_mod
+
     program = grounding.ground_program(_load_program(args.file), args.max_ground)
     statements: list[dsl.Statement] = []
     for stmt in program.statements:
@@ -163,7 +167,9 @@ def _cmd_complete(args, out) -> int:
 
 
 def _cmd_models(args, out) -> int:
-    max_choices = _max_choices(args)
+    from . import circuit as circuit_mod, digital
+
+    max_choices = _max_choices(args, digital.MAX_CHOICE_BITS)
     program = _load_program(args.file)
     if args.classical:
         program = grounding.ground_program(program, args.max_ground)
@@ -181,6 +187,8 @@ def _cmd_models(args, out) -> int:
 
 
 def _cmd_eval(args, out) -> int:
+    from . import circuit as circuit_mod, digital
+
     ground = grounding.ground_records(_load_program(args.file), args.max_ground)
     compiled = circuit_mod.compile_records(ground)
     inputs = []
@@ -200,6 +208,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    from . import classify as classify_mod
+
     report = classify_mod.mechanism_report(_load_program(args.file))
     if args.json:
         print(json.dumps(report.to_json(), indent=2), file=out)
@@ -209,17 +219,22 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_prob(args, out) -> int:
+    from . import prob
+
     program = _load_program(args.file)
     query = dsl.parse_literal(args.query)
     given = tuple(
         dsl.parse_literal(text) for text in _split_outside_parens(args.given or "")
     )
-    value = prob.query_prob(program, query, given, args.max_switches)
+    max_switches = prob.MAX_SWITCHES if args.max_switches is None else args.max_switches
+    value = prob.query_prob(program, query, given, max_switches)
     print(_format_prob(value), file=out)
     return 0
 
 
 def _cmd_formulas(args, out) -> int:
+    from . import prob
+
     table = prob.JointTable.from_json(_read_file(args.table))
     if args.compare:
         comparisons = prob.compare_formulas(table)
@@ -245,6 +260,8 @@ def _cmd_formulas(args, out) -> int:
 
 
 def _cmd_vec(args, out) -> int:
+    from . import vectors
+
     named = vectors.load_vectors(_read_file(args.vectors))
 
     def pick(name: str) -> vectors.ConceptVector:
@@ -289,6 +306,8 @@ def _cmd_vec(args, out) -> int:
 
 
 def _cmd_learn(args, out) -> int:
+    from . import learn
+
     for flag in ("theta_pos", "theta_neg", "theta_ctx"):
         if math.isnan(getattr(args, flag)):
             raise _UsageError(f"--{flag.replace('_', '-')} must be a number, got nan")
@@ -379,7 +398,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("file")
     p.add_argument("--query", required=True, metavar="LITERAL")
     p.add_argument("--given", metavar="LITERALS", default="")
-    p.add_argument("--max-switches", type=int, default=prob.MAX_SWITCHES)
+    p.add_argument("--max-switches", type=int, default=None)
 
     p = add("formulas", _cmd_formulas, "evaluate the six dependency forms")
     p.add_argument("--table", required=True, metavar="PATH")

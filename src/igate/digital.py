@@ -38,7 +38,9 @@ from .errors import (
 )
 from .grounding import ground_program
 
-MAX_CHOICE_BITS = 24
+# Each bit doubles the branches a search may open and the states it keeps;
+# at 24 bits a classicalized 24-atom rule ran for tens of seconds.
+MAX_CHOICE_BITS = 16
 
 Scorer = Callable[[frozenset[str]], float]
 

@@ -4,13 +4,18 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from igate import digital
 from igate.cli import _dispatch, dispatch
 from igate.dsl import format_program
 from igate.errors import GroundingError
@@ -538,6 +543,34 @@ class TestGuardOverrides:
         code, _ = dispatch(["models", path, "--max-choices", "6"])
         assert code == 0
 
+    def test_default_guard_refuses_a_small_classical_program_before_searching(
+        self, tmp_path, monkeypatch
+    ):
+        # 3 constants and 4 relations: 24 free atoms, one exactly-one choice
+        # each, which the former 24-bit default let run for tens of seconds
+        path = write(
+            tmp_path, "p.ig", "#entity c1, c2, c3.\np(X) :- q(X, Z), r(Z, W), s(W).\n"
+        )
+        monkeypatch.delenv("IG_MAX_CHOICES", raising=False)
+
+        def no_branch(*args):
+            raise RuntimeError("the search opened a branch")
+
+        monkeypatch.setattr(digital, "_initial", no_branch)
+        start = time.perf_counter()
+        code, out, err = run(["models", path, "--classical"])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == (
+            "ig: model search needs 24.0 binary choice points (limit 16);"
+            " raise --max-choices or IG_MAX_CHOICES to override\n"
+        )
+        # the flag and the environment still lift the guard: the search starts
+        opened = (2, "", "ig: RuntimeError: the search opened a branch\n")
+        assert run(["models", path, "--classical", "--max-choices", "24"]) == opened
+        monkeypatch.setenv("IG_MAX_CHOICES", "24")
+        assert run(["models", path, "--classical"]) == opened
+
     @pytest.mark.parametrize(
         "argv, env, name",
         [
@@ -687,6 +720,95 @@ class TestOneParserPerProcess:
         assert "p(c3,c2): unknown" in bare[1]
         assert refused[0] == 2 and ground[0] == 0
         assert ground[1].count(":-") == 16
+
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def fresh(code: str, *argv: str) -> tuple[list, set[str]]:
+    """Run `code`, which sets `result`, in a fresh interpreter; returns
+    `result` and the igate and numpy modules the interpreter loaded."""
+    script = (
+        "import json, sys\n"
+        f"{code}\n"
+        "print(json.dumps([result, sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('igate', 'numpy'))]))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result, modules = json.loads(done.stdout.splitlines()[-1])
+    return result, set(modules)
+
+
+def fresh_command(*argv: str) -> tuple[list, set[str]]:
+    """One `ig` command in a fresh interpreter: ([exit code, stdout], modules)."""
+    return fresh("from igate import cli\nresult = cli.dispatch(sys.argv[1:])", *argv)
+
+
+class TestColdStart:
+    """A fresh `ig` process loads only the layers its command runs."""
+
+    def test_importing_the_package_and_the_cli_loads_no_numpy(self):
+        assert fresh("import igate\nresult = None")[1] == {"igate"}
+        assert fresh("import igate.cli\nresult = None")[1] == {
+            "igate",
+            "igate.cli",
+            "igate.dsl",
+            "igate.errors",
+            "igate.grounding",
+        }
+
+    def test_ground_loads_no_circuit_and_no_numpy(self):
+        (code, out), modules = fresh_command("ground", str(PROGRAMS / "mammal.ig"))
+        assert (code, out) == dispatch(["ground", str(PROGRAMS / "mammal.ig")])
+        assert code == 0 and out
+        assert not modules & {
+            "igate.circuit",
+            "igate.digital",
+            "igate.prob",
+            "igate.learn",
+            "igate.vectors",
+            "numpy",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["models", "car.ig"],
+            ["eval", "car.ig", "--set", "engine(herbie)=true"],
+            ["prob", "prob.ig", "--query", "b"],
+        ],
+    )
+    def test_circuit_commands_load_no_learner_vectors_or_numpy(self, argv):
+        command, name, *flags = argv
+        argv = [command, str(PROGRAMS / name), *flags]
+        result, modules = fresh_command(*argv)
+        assert tuple(result) == dispatch(argv) and result[0] == 0
+        assert not modules & {"igate.learn", "igate.vectors", "igate.classify", "numpy"}
+
+    def test_learn_and_vec_still_run(self, tmp_path):
+        episodes = write(
+            tmp_path, "eps.jsonl", dump_episodes_jsonl(generate_planted_episodes(seed=7))
+        )
+        result, modules = fresh_command("learn", episodes)
+        assert result == [
+            0,
+            "g_day_night :- day; night.\n"
+            "g_bg0_bg7 :- bg0; bg7.\n"
+            "m_flame_spark :- flame, spark.\n",
+        ]
+        assert {"igate.learn", "numpy"} <= modules
+        vectors = write(tmp_path, "v.json", '{"a": [1, 3], "b": [3, 1]}')
+        result, modules = fresh_command("vec", "merge", "--vectors", vectors, "--parts", "a,b")
+        assert result == [0, '{"label": "a+b", "components": [4.0, 4.0]}\n']
+        assert {"igate.vectors", "numpy"} <= modules
 
 
 def shuffled_source(program, rng):
