@@ -7,7 +7,7 @@ generators are non-deterministic inputs enumerated during model search.
 (`igate.grounding.GroundRecords`) straight into the kernel's form
 (`ChannelIndex`): watch lists, facts and alternatives on wire ids, in
 sorted atom order. Constraints are wired as their material-implication
-completion. `compile_program` takes a ground `Program` through the same
+completion. `compile_program` and classicalization work on the same
 records. A `Circuit` names its gates, channels and facts only when they are
 read (`ig compile`, `export_dot`).
 """
@@ -18,20 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .dsl import (
-    AND,
-    OR,
-    SINGLE,
-    XOR,
-    Choice,
-    Constraint,
-    Literal,
-    Program,
-    Rule,
-    atom_literal,
-)
+from .dsl import AND, OR, XOR, Choice, Constraint, Literal, Program, Rule
 from .errors import CircuitError
-from .grounding import GroundRecords, _encode
+from .grounding import GroundRecords, ground_records
 
 EXACTLY_ONE = "exactly_one"
 NONEMPTY_SUBSET = "nonempty_subset"
@@ -172,30 +161,37 @@ def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
     )
 
 
-def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
-    """Add an exactly-one choice over every atom not already pinned down.
+def _classicalize_records(ground: GroundRecords, extra_atoms: Iterable[str] = ()) -> GroundRecords:
+    """Add an exactly-one choice "1{x; -x}1." over every atom not already
+    pinned down, so that enumeration explores all sign assignments.
 
-    Atoms covered by an existing choice, or asserted by a deterministic
-    (conjunctive) fact, keep their status; everything else gets
-    "1{x; -x}1." so that enumeration explores all sign assignments. The
-    choices follow the program's own statements, in atom order.
+    Atoms covered by a choice, or asserted by a deterministic (one-literal
+    or conjunctive) fact, keep their status. New `extra_atoms` are numbered
+    after the others, in name order; the choices follow the records, in
+    atom name order.
     """
+    covered: set[int] = set()
+    for kind, head, body, head_conn, _, _ in ground.records:
+        if kind is Choice:
+            covered.update(w >> 1 for w in body)
+        elif kind is Rule and not body and (len(head) == 1 or head_conn == AND):
+            covered.update(w >> 1 for w in head)
+    atoms = ground.atoms + tuple(sorted(set(extra_atoms).difference(ground.atoms)))
+    free = sorted(set(range(len(atoms))) - covered, key=atoms.__getitem__)
+    choices = [(Choice, (), (2 * a, 2 * a + 1), None, None, None) for a in free]
+    return GroundRecords(atoms, ground.records + choices, ground.domain)
+
+
+def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
+    """The ground `program` with "1{x; -x}1." after its statements for every
+    free atom, `extra_atoms` included: the `Literal` view of the choices
+    `_classicalize_records` adds to the program's records."""
     if not program.is_ground:
         raise CircuitError("classicalize requires a ground program")
-    covered: set[str] = set()
-    for stmt in program.statements:
-        if isinstance(stmt, Choice):
-            covered.update(l.atom_name for l in stmt.literals_)
-        elif isinstance(stmt, Rule) and stmt.is_fact and stmt.head_connective in (
-            SINGLE,
-            AND,
-        ):
-            covered.update(l.atom_name for l in stmt.head)
-    atoms = sorted((program.atoms() | set(extra_atoms)) - covered)
-    choices = tuple(
-        Choice((atom_literal(a), atom_literal(a, negative=True))) for a in atoms
-    )
-    return Program(program.statements + choices, program.domain)
+    ground = ground_records(program, len(program.statements))
+    classical = _classicalize_records(ground, extra_atoms)
+    added = classical.statements(classical.records[len(ground.records):])
+    return Program(program.statements + tuple(added), program.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +314,14 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
 
 
 def compile_program(program: Program, xor_scorer: str | None = None) -> Circuit:
-    """Wire a ground program into a Circuit: its statements pass through the
-    records of the grounder unchanged, and `compile_records` wires them."""
+    """Wire a ground program into a Circuit: `ground_records` gives one record
+    per statement, as it is, and `compile_records` wires them."""
     if not program.is_ground:
         raise CircuitError("compilation requires a ground program; ground it first")
-    return compile_records(_encode(program), xor_scorer)
+    # refused as too short a choice, which the grounder would call collapsed
+    if any(isinstance(s, Choice) and len(set(s.literals_)) < 2 for s in program.statements):
+        raise ValueError("choice needs at least two alternatives")
+    return compile_records(ground_records(program, len(program.statements)), xor_scorer)
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,10 @@ def _cmd_models(args, out) -> int:
     from . import circuit as circuit_mod, digital
 
     max_choices = _max_choices(args, digital.MAX_CHOICE_BITS)
-    program = _load_program(args.file)
+    ground = grounding.ground_records(_load_program(args.file), args.max_ground)
     if args.classical:
-        program = grounding.ground_program(program, args.max_ground)
-        compiled = circuit_mod.compile_program(circuit_mod.classicalize(program))
-    else:
-        ground = grounding.ground_records(program, args.max_ground)
-        compiled = circuit_mod.compile_records(ground)
+        ground = circuit_mod._classicalize_records(ground)
+    compiled = circuit_mod.compile_records(ground)
     models = digital.enumerate_models(compiled, max_choices)
     for model in models:
         if args.json:

@@ -27,8 +27,8 @@ from .circuit import (
     EXACTLY_ONE,
     Circuit,
     Generator,
-    classicalize,
-    compile_program,
+    _classicalize_records,
+    compile_records,
 )
 from .dsl import Program
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     UnresolvedGeneratorError,
     VocabularyMismatchError,
 )
-from .grounding import ground_program
+from .grounding import ground_records
 
 # Each bit doubles the branches a search may open and the states it keeps;
 # at 24 bits a classicalized 24-atom rule ran for tens of seconds.
@@ -248,6 +248,16 @@ def _selections(gen: Generator) -> list[tuple[int, ...]]:
     ]
 
 
+def _check_choice_bits(circuit: Circuit, limit: int, scorers: Mapping[str, Scorer]) -> None:
+    """Refuse a model search over more than `limit` binary choice points."""
+    bits = sum(math.log2(_branch_count(gen, scorers)) for gen in circuit.generators)
+    if bits > limit:
+        raise GuardError(
+            f"model search needs {bits:.1f} binary choice points"
+            f" (limit {limit}); raise --max-choices or IG_MAX_CHOICES to override"
+        )
+
+
 def enumerate_models(
     circuit: Circuit,
     max_choice_bits: int = MAX_CHOICE_BITS,
@@ -262,13 +272,7 @@ def enumerate_models(
     are active. The result is deduplicated by atom values and sorted.
     """
     scorers = scorers or {}
-    bits = sum(math.log2(_branch_count(gen, scorers)) for gen in circuit.generators)
-    if bits > max_choice_bits:
-        raise GuardError(
-            f"model search needs {bits:.1f} binary choice points"
-            f" (limit {max_choice_bits}); raise --max-choices or"
-            f" IG_MAX_CHOICES to override"
-        )
+    _check_choice_bits(circuit, max_choice_bits, scorers)
 
     # Depth-first, first alternative first. Propagation is monotone, so a
     # branch extends a copy of its parent's fixpoint by the selected channels.
@@ -308,22 +312,25 @@ def check_equivalence(
 ) -> Model | None:
     """None when both programs have the same model set, else a witness model.
 
-    With `classical` (the default) both programs are classicalized over the
-    union of their ground atoms, mirroring all-possible-worlds semantics;
-    without it the vocabularies must match exactly.
+    With `classical` (the default) both programs' ground records are
+    classicalized over the union of their atoms, mirroring
+    all-possible-worlds semantics; without it the vocabularies must match
+    exactly. Neither search starts unless both fit `max_choice_bits`.
     """
-    g1, g2 = ground_program(first), ground_program(second)
-    atoms1, atoms2 = g1.atoms(), g2.atoms()
+    g1, g2 = ground_records(first), ground_records(second)
+    atoms1, atoms2 = set(g1.atoms), set(g2.atoms)
     if classical:
         union = atoms1 | atoms2
-        g1, g2 = classicalize(g1, union), classicalize(g2, union)
+        g1, g2 = _classicalize_records(g1, union), _classicalize_records(g2, union)
     elif atoms1 != atoms2:
         raise VocabularyMismatchError(
             f"programs speak about different atoms:"
             f" {sorted(atoms1 ^ atoms2)}"
         )
-    models1 = enumerate_models(compile_program(g1), max_choice_bits)
-    models2 = enumerate_models(compile_program(g2), max_choice_bits)
+    circuits = compile_records(g1), compile_records(g2)
+    for circuit in circuits:
+        _check_choice_bits(circuit, max_choice_bits, {})
+    models1, models2 = (enumerate_models(c, max_choice_bits) for c in circuits)
     set1 = {m.assignment for m in models1}
     set2 = {m.assignment for m in models2}
     if set1 == set2:

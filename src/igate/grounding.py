@@ -14,8 +14,10 @@ ground statement comes out as one integer record over those wires
 (`GroundRecords`). Each source literal is instantiated once, into a table
 from the constants of its bound variables to the wires of its expansion
 over its open ones, so one binding of a statement is a few table lookups.
-`igate.circuit.compile_records` wires the records as they are;
-`ground_program` is their `Literal` view, one `Literal` per wire.
+`igate.circuit.compile_records` wires the records as they are (a ground
+`Program` gives one per statement), classicalized when asked;
+`ground_program` is their `Literal` view, which only `ig ground` and
+`ig complete` print.
 
 Each statement has one shape (`_shape`): the variables it is instantiated
 over and whether each binding splits its head. The statement's size and
@@ -118,13 +120,6 @@ def _record(stmt: Statement, ids: dict[str, int]) -> tuple:
         conns = stmt.head_connective, stmt.body_connective
         return Rule, wires[:h], wires[h:], *conns, stmt.probability
     return type(stmt), (), _wires(stmt.literals(), ids), None, None, None
-
-
-def _encode(program: Program) -> GroundRecords:
-    """The records of a ground program, statement by statement."""
-    ids: dict[str, int] = {}
-    records = [_record(stmt, ids) for stmt in program.statements]
-    return GroundRecords(tuple(ids), records, program.domain)
 
 
 def _collapses(choice: Choice, pool: list[str]) -> bool:

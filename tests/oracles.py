@@ -4,9 +4,11 @@ Nothing here touches Circuit, propagate, or the grounder: the truth-table
 oracle filters raw sign assignments, the naive probabilistic oracle
 forward-chains (head, body) pairs over plain sets, and the first-order
 oracle instantiates quantifiers directly over the constant pool. The
-former switch rewrite of the weighted engine is kept here too, on
-`Literal` statements; `former_compile_weighted` takes the grounder and the
-compiler it runs as arguments.
+former switch rewrite of the weighted engine and the former classical
+route (`classicalize`, `_encode` and `check_equivalence`) are kept here
+too, on `Literal` statements; `former_compile_weighted` and
+`former_check_equivalence` take the grounder and the compiler they run as
+arguments.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from igate.dsl import (
     Program,
     Rule,
     Term,
+    atom_literal,
     canonical_statements,
 )
-from igate.errors import GuardError, ProbabilityError
+from igate.errors import GuardError, ProbabilityError, VocabularyMismatchError
 
 # ---------------------------------------------------------------------------
 # Truth-table oracle for constraint sets
@@ -217,6 +220,74 @@ def former_compile_weighted(program: Program, max_switches: int, ground, compile
         [s.probability for s in switches],
         [circuit.index.ids[s.channel] for s in switches],
     )
+
+
+# ---------------------------------------------------------------------------
+# The former classical route, on `Literal` statements
+# ---------------------------------------------------------------------------
+
+def former_classicalize(program: Program, extra_atoms=()) -> Program:
+    """The former `classicalize`: "1{x; -x}1." over every atom of a ground
+    program, or of `extra_atoms`, that no choice and no one-literal or
+    conjunctive fact covers, after the statements, in atom order."""
+    covered: set[str] = set()
+    for stmt in program.statements:
+        if isinstance(stmt, Choice):
+            covered.update(l.atom_name for l in stmt.literals_)
+        elif isinstance(stmt, Rule) and stmt.is_fact and stmt.head_connective in (
+            SINGLE,
+            AND,
+        ):
+            covered.update(l.atom_name for l in stmt.head)
+    atoms = sorted((program.atoms() | set(extra_atoms)) - covered)
+    choices = tuple(
+        Choice((atom_literal(a), atom_literal(a, negative=True))) for a in atoms
+    )
+    return Program(program.statements + choices, program.domain)
+
+
+def former_encode(program: Program) -> tuple[tuple[str, ...], list[tuple]]:
+    """The former `grounding._encode` of a ground program: its atom names in
+    order of first meeting, and one record per statement, as it is."""
+    ids: dict[str, int] = {}
+
+    def wires(literals) -> tuple[int, ...]:
+        return tuple(2 * ids.setdefault(l.atom_name, len(ids)) + l.negative for l in literals)
+
+    records = []
+    for stmt in program.statements:
+        if isinstance(stmt, Rule):
+            head, body = wires(stmt.head), wires(stmt.body)
+            conns = stmt.head_connective, stmt.body_connective
+            records.append((Rule, head, body, *conns, stmt.probability))
+        else:
+            records.append((type(stmt), (), wires(stmt.literals()), None, None, None))
+    return tuple(ids), records
+
+
+def former_check_equivalence(
+    first: Program, second: Program, classical: bool, max_choice_bits: int,
+    ground, compile_, enumerate_models,
+):
+    """The former `check_equivalence` on the given grounder (to a ground
+    `Program`), compiler and model search, with `former_classicalize`."""
+    g1, g2 = ground(first), ground(second)
+    atoms1, atoms2 = g1.atoms(), g2.atoms()
+    if classical:
+        union = atoms1 | atoms2
+        g1, g2 = former_classicalize(g1, union), former_classicalize(g2, union)
+    elif atoms1 != atoms2:
+        raise VocabularyMismatchError(
+            f"programs speak about different atoms: {sorted(atoms1 ^ atoms2)}"
+        )
+    models1 = enumerate_models(compile_(g1), max_choice_bits)
+    models2 = enumerate_models(compile_(g2), max_choice_bits)
+    set1 = {m.assignment for m in models1}
+    set2 = {m.assignment for m in models2}
+    for model in sorted(models1 + models2, key=lambda m: m.assignment):
+        if (model.assignment in set1) != (model.assignment in set2):
+            return model
+    return None
 
 
 # ---------------------------------------------------------------------------

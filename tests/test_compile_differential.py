@@ -9,6 +9,13 @@ the weighted engine switches them, after their statements are shuffled,
 repeated and rewritten with repeated literals, both must give the same
 channels, facts, generators, gate multiset, gate count, models with
 provenance, DOT text (of the canonicalized program) and errors.
+
+The classical route is checked against the former one, kept in
+`tests/oracles.py`: `ground_program`, the `Literal` `classicalize`, and
+`compile_program` through the former `_encode`. On random ground and
+first-order programs, with and without extra atoms, classicalizing the
+ground records gives a circuit equal field by field, `classicalize` an
+equal `Program`, and `check_equivalence` an equal witness or error.
 """
 
 import random
@@ -21,11 +28,14 @@ from igate.circuit import (
     NONEMPTY_SUBSET,
     Gate,
     Generator,
+    _classicalize_records,
+    classicalize,
     compile_program,
+    compile_records,
     complete_constraint,
     export_dot,
 )
-from igate.digital import enumerate_models
+from igate.digital import Model, check_equivalence, enumerate_models
 from igate.dsl import (
     AND,
     OR,
@@ -40,10 +50,13 @@ from igate.dsl import (
     format_program,
     parse_program,
 )
-from igate.errors import CircuitError, GuardError, IgateError
-from igate.grounding import ground_program
+from igate.errors import CircuitError, GuardError, IgateError, ParseError
+from igate.grounding import GroundRecords, ground_program, ground_records
 
 from oracles import (
+    former_check_equivalence,
+    former_classicalize,
+    former_encode,
     random_first_order_program,
     random_ground_program,
     random_weighted_program,
@@ -310,3 +323,107 @@ class TestEdgeCases:
             canonical_compile(program)
         )
         assert format_program(program) == format_program(backward)
+
+
+# ---------------------------------------------------------------------------
+# The classical route on records against the former Literal route
+# ---------------------------------------------------------------------------
+
+def former_compile(program: Program, xor_scorer: str | None = None):
+    """The former `compile_program`: the records of the former `_encode`."""
+    if not program.is_ground:
+        raise CircuitError("compilation requires a ground program; ground it first")
+    return compile_records(GroundRecords(*former_encode(program), program.domain), xor_scorer)
+
+
+def circuit_fields(circuit) -> tuple:
+    index = circuit.index
+    return (
+        index.names, index.watch, index.facts, index.alternatives,
+        circuit.wiring, circuit.generators,
+    )
+
+
+def classical_cases(seed: int, count: int):
+    """Random ground and first-order programs, each with no extra atoms,
+    with "zz" and "a", or with the atoms of another random program."""
+    rng = random.Random(seed)
+    for index in range(count):
+        make = random_ground_program if index % 2 else random_first_order_program
+        program = make(rng)
+        extra = rng.choice([(), ("zz", "a"), "other"])
+        if extra == "other":
+            extra = sorted(ground_program(make(rng)).atoms())
+        yield program, extra
+
+
+def attempt(function, *args):
+    """What `function(*args)` returns, or the type and text of its error."""
+    try:
+        return function(*args)
+    except (IgateError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def witness(check, *args):
+    """The witness of an equivalence check as (assignment, provenance), or
+    its error."""
+    found = attempt(check, *args)
+    return (found.assignment, found.provenance) if isinstance(found, Model) else found
+
+
+class TestClassicalOnRecords:
+    def test_circuits_are_equal_field_by_field(self):
+        for program, extra in classical_cases(2101, 1200):
+            got = compile_records(_classicalize_records(ground_records(program), extra))
+            expected = former_compile(former_classicalize(ground_program(program), extra))
+            assert circuit_fields(got) == circuit_fields(expected), str(program)
+
+    def test_compile_program_equals_the_former_encoding(self):
+        for program in programs(2102, 600):
+            for scorer in (None, SCORER):
+                got = outcome(compile_program, program, scorer)
+                expected = outcome(former_compile, program, scorer)
+                if isinstance(expected, tuple):
+                    assert got == expected, str(program)
+                else:
+                    assert circuit_fields(got) == circuit_fields(expected), str(program)
+
+    def test_classicalize_equals_the_former_program(self):
+        rng = random.Random(2103)
+        cases = [(ground_program(p), extra) for p, extra in classical_cases(2104, 1000)]
+        cases += [(p, ("zz", "a")) for p in programs(2105, 300)]
+        for program, extra in cases:
+            expected = attempt(former_classicalize, program, extra)
+            if isinstance(expected, tuple):  # it parsed a switch atom's name
+                assert expected[0] is ParseError and "$s0" in program.atoms()
+                continue
+            assert classicalize(program, extra) == expected, str(program)
+            shuffled = rng.sample(extra, len(extra))
+            assert classicalize(program, iter(shuffled)) == expected, str(program)
+        with pytest.raises(CircuitError, match="classicalize requires a ground program"):
+            classicalize(parse_program("#entity c1.\np(X) :- q(X)."))
+
+    def test_check_equivalence_matches_the_former_route(self):
+        rng = random.Random(2106)
+        cases = [program for program, _ in classical_cases(2107, 1000)]
+        mismatches, witnesses = 0, Counter()
+        for first, second in zip(cases[::2], cases[1::2]):
+            draw = rng.random()
+            if draw < 0.4:  # the same vocabulary: equivalent, or one constraint apart
+                ground = ground_program(first)
+                second = scramble(rng, ground)
+                literals = [l for stmt in ground.statements for l in stmt.literals()]
+                if draw < 0.2 and literals:
+                    constraint = Constraint((rng.choice(literals),))
+                    second = Program(second.statements + (constraint,), second.domain)
+            for classical in (True, False):
+                got = witness(check_equivalence, first, second, classical, 12)
+                expected = witness(
+                    former_check_equivalence, first, second, classical, 12,
+                    ground_program, former_compile, enumerate_models,
+                )
+                assert got == expected, (str(first), str(second), classical)
+                mismatches += "different atoms" in str(expected)
+                witnesses[classical] += isinstance(expected, tuple) and expected[0] is not None
+        assert mismatches > 50 and min(witnesses.values()) > 50

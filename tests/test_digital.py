@@ -195,6 +195,27 @@ class TestEquivalence:
                 classical=False,
             )
 
+    def test_guard_refuses_either_program_before_searching(self, monkeypatch):
+        # classicalized over 17 atoms, the first program needs 16 choice bits
+        # (a0 is a fact) and the second 17: neither search may start
+        first = parse_program("a0. z :- " + ", ".join(f"a{i}" for i in range(1, 16)) + ".")
+        second = parse_program("z :- " + ", ".join(f"a{i}" for i in range(16)) + ".")
+
+        def no_branch(*args):
+            raise RuntimeError("the search opened a branch")
+
+        monkeypatch.setattr(digital, "_initial", no_branch)
+        refused = (
+            "model search needs 17.0 binary choice points (limit 16);"
+            " raise --max-choices or IG_MAX_CHOICES to override"
+        )
+        for pair in ((first, second), (second, first)):
+            with pytest.raises(GuardError) as caught:
+                check_equivalence(*pair)
+            assert str(caught.value) == refused
+        with pytest.raises(RuntimeError, match="opened a branch"):
+            check_equivalence(first, second, max_choice_bits=17)
+
 
 class TestPropertySuites:
     """Generative suites over random small ground programs."""
