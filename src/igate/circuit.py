@@ -4,9 +4,9 @@ Every ground atom owns two stateful channels (positive and negative), a
 pair of wires; gates are stateless AND/OR functions wired between them;
 generators are non-deterministic inputs enumerated during model search.
 `compile_records` wires the grounder's integer records
-(`igate.grounding.GroundRecords`) straight into the kernel's form
-(`ChannelIndex`): watch lists, facts and alternatives on wire ids, in
-sorted atom order. Constraints are wired as their material-implication
+(`igate.grounding.GroundRecords`) straight into the kernel's one integer
+form, a `Circuit`: watch lists, initial wires and alternatives on wire ids,
+in sorted atom order. Constraints are wired as their material-implication
 completion. `compile_program` and classicalization work on the same
 records. A `Circuit` names its gates, channels and facts only when they are
 read (`ig compile`, `export_dot`).
@@ -69,23 +69,29 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class ChannelIndex:
-    """Integer form of a circuit, read by the digital kernel.
+class Circuit:
+    """Immutable gate network in integer form; evaluation state lives in the
+    digital engine.
 
     Atom i, in sorted atom order, owns channel 2i (positive) and 2i + 1
     (negative), so the complement of channel c is c ^ 1. `names` maps a
     channel to its name. Generator g owns the ready wire len(names) + g, an
-    AND of its guard (a fact when unguarded). Watch list `watch[c]` holds an
-    (output, inputs) pair per gate or guard that c feeds: it fires once all
-    its inputs are on (an OR gate or a one-input AND lists none).
-    `alternatives[g]` holds g's alternatives' ids. `ids` and `values` (a
-    channel's (atom, value) pair) are built on first use.
+    AND of its guard. Watch list `watch[c]` holds an (output, inputs) pair
+    per gate or guard that c feeds: it fires once all its inputs are on (an
+    OR gate or a one-input AND lists none). `initial` holds the wires on
+    from the start: the facts and the ready wires of unguarded generators.
+    `alternatives[g][i]` is the channel of g's i-th alternative. `wiring`
+    holds each gate as (kind, input ids, output id), in the order the gates
+    were wired. `ids`, `values` (a channel's (atom, value) pair) and the
+    named views `gates`, `channels` and `facts` are built on first use.
     """
 
     names: tuple[str, ...]
     watch: list[list[tuple[int, tuple[int, ...]]]]
-    facts: tuple[int, ...]
-    alternatives: tuple[tuple[tuple[int, ...], ...], ...]
+    initial: tuple[int, ...]
+    alternatives: tuple[tuple[int, ...], ...]
+    generators: tuple[Generator, ...]
+    wiring: tuple[tuple[str, tuple[int, ...], int], ...]
 
     @cached_property
     def ids(self) -> dict[str, int]:
@@ -95,26 +101,12 @@ class ChannelIndex:
     def values(self) -> tuple[tuple[str, bool], ...]:
         return tuple((self.names[c & ~1], not c & 1) for c in range(len(self.names)))
 
-
-@dataclass(frozen=True)
-class Circuit:
-    """Immutable gate network; evaluation state lives in the digital engine.
-
-    `wiring` holds each gate as (kind, input ids, output id), in the order
-    the gates were wired. `gates`, `channels` and `facts` are their named
-    views, built on first use.
-    """
-
-    index: ChannelIndex
-    generators: tuple[Generator, ...]
-    wiring: tuple[tuple[str, tuple[int, ...], int], ...]
-
     def atoms(self) -> list[str]:
-        return list(self.index.names[::2])
+        return list(self.names[::2])
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        names = self.index.names
+        names = self.names
         return tuple(
             Gate(kind, tuple(names[c] for c in inputs), names[output])
             for kind, inputs, output in self.wiring
@@ -122,12 +114,12 @@ class Circuit:
 
     @cached_property
     def channels(self) -> frozenset[str]:
-        return frozenset(self.index.names)
+        return frozenset(self.names)
 
     @cached_property
     def facts(self) -> frozenset[str]:
-        names = self.index.names  # the ready wires come after the channels
-        return frozenset(names[c] for c in self.index.facts if c < len(names))
+        names = self.names  # the ready wires come after the channels
+        return frozenset(names[c] for c in self.initial if c < len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def _classicalize_records(ground: GroundRecords, extra_atoms: Iterable[str] = ()
     atoms = ground.atoms + tuple(sorted(set(extra_atoms).difference(ground.atoms)))
     free = sorted(set(range(len(atoms))) - covered, key=atoms.__getitem__)
     choices = [(Choice, (), (2 * a, 2 * a + 1), None, None, None) for a in free]
-    return GroundRecords(atoms, ground.records + choices, ground.domain)
+    return GroundRecords(atoms, ground.records + choices)
 
 
 def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
@@ -277,7 +269,7 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
                 gate(kind, inputs, out)
 
     generators: list[Generator] = []
-    alternatives: list[tuple[tuple[int, ...], ...]] = []
+    alternatives: list[tuple[int, ...]] = []
     ready: list[int] = []
     for kind, head, body, head_conn, body_conn, _ in ground.canonical(generative):
         if kind is Choice:
@@ -298,7 +290,7 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
             g = len(generators)
             named = tuple(names[c] for c in guard)
             generators.append(Generator(f"gen{g}", channels, cardinality, named, scorer))
-            alternatives.append(tuple((c,) for c in choice))
+            alternatives.append(choice)
             entry = (len(names) + g, guard if len(guard) > 1 else ())
             for c in guard:
                 watch[c].append(entry)
@@ -307,9 +299,8 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     watch += ([] for _ in generators)
 
     return Circuit(
-        ChannelIndex(tuple(names), watch, (*facts, *ready), tuple(alternatives)),
-        tuple(generators),
-        tuple(wiring),
+        tuple(names), watch, (*facts, *ready), tuple(alternatives),
+        tuple(generators), tuple(wiring),
     )
 
 

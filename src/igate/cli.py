@@ -195,7 +195,7 @@ def _cmd_eval(args, out) -> int:
             raise _UsageError(f"--set expects atom=true|false, got {part!r}")
         literal = dsl.parse_literal(name)
         atom = literal.atom_name
-        if atom not in compiled.index.ids:
+        if atom not in compiled.ids:
             raise _UsageError(f"--set names an atom not in the program: {atom}")
         inputs.append(atom if (value == "true") != literal.negative else "-" + atom)
     active = digital.propagate(compiled, inputs)

@@ -2,7 +2,7 @@
 
 One worklist (`_drain`, after Dowling & Gallier's linear-time Horn
 satisfiability) computes every fixpoint in the package, on integer wire ids
-(`Circuit.index`): atom i owns the wire pair 2i and 2i + 1, generator g a
+(a `Circuit`): atom i owns the wire pair 2i and 2i + 1, generator g a
 ready wire after them. It runs over two value domains, with 0 false and 1
 true in both: here a state is a bytearray, one byte per wire, and weighted
 queries (`igate.prob`) hold a BDD per wire. A wire is read again only when
@@ -53,7 +53,7 @@ _STATUS = ((UNKNOWN, FALSE), (TRUE, CONTRADICTION))  # [positive on][negative on
 
 def atom_values(circuit: Circuit, active: frozenset[str]) -> dict[str, str]:
     """Per-atom view of an activation state."""
-    names = circuit.index.names
+    names = circuit.names
     return {
         names[c]: _STATUS[names[c] in active][names[c + 1] in active]
         for c in range(0, len(names), 2)
@@ -162,9 +162,9 @@ def _fixpoint(
     to 2 and its selection queued, until nothing new activates. Returns the
     positions of the ready generators left without a choice or scorer.
     """
-    index, first = circuit.index, len(circuit.index.names)
+    first = len(circuit.names)
     while True:
-        _drain(index.watch, active, pending, operator.and_, max)
+        _drain(circuit.watch, active, pending, operator.and_, max)
         unresolved: list[int] = []
         ready = first - 1
         while (ready := active.find(1, ready + 1)) >= 0:
@@ -179,21 +179,21 @@ def _fixpoint(
                 unresolved.append(g)
                 continue
             active[ready] = 2
+            alternatives = circuit.alternatives[g]
             for i in selection:
-                _activate(active, pending, index.alternatives[g][i])
+                _activate(active, pending, (alternatives[i],))
         if not pending:
             return unresolved
 
 
 def _initial(circuit: Circuit, inputs: Iterable[str]) -> tuple[bytearray, list[int]]:
     """The state with the facts and `inputs` active, all of them pending."""
-    index = circuit.index
-    active, pending = bytearray(len(index.watch)), []
-    _activate(active, pending, index.facts)
+    active, pending = bytearray(len(circuit.watch)), []
+    _activate(active, pending, circuit.initial)
     for channel in inputs:
-        if channel not in index.ids:
+        if channel not in circuit.ids:
             raise ValueError(f"unknown channel {channel!r}")
-        _activate(active, pending, (index.ids[channel],))
+        _activate(active, pending, (circuit.ids[channel],))
     return active, pending
 
 
@@ -227,7 +227,7 @@ def propagate(
             f"generator {gen.id} fired without a choice or scorer"
             f" (alternatives: {[sorted(a) for a in gen.alternatives]})",
         )
-    return frozenset(compress(circuit.index.names, active))
+    return frozenset(compress(circuit.names, active))
 
 
 def _branch_count(gen: Generator, scorers: Mapping[str, Scorer]) -> int:
@@ -278,7 +278,7 @@ def enumerate_models(
     # branch extends a copy of its parent's fixpoint by the selected channels.
     # Distinct consistent states are distinct models, as a leaf's ready bytes
     # follow from its atom wires; the first found keeps its choices as provenance.
-    wires = len(circuit.index.names)
+    wires = len(circuit.names)
     found: dict[bytes, dict[str, tuple[int, ...]]] = {}
     stack = [(*_initial(circuit, inputs), {})]
     while stack:
@@ -292,13 +292,14 @@ def enumerate_models(
         g = unresolved[0]
         gen = circuit.generators[g]
         active[wires + g] = 2  # every branch resolves g
+        alternatives = circuit.alternatives[g]
         for selection in reversed(_selections(gen)):
             branch, new = bytearray(active), []
             for i in selection:
-                _activate(branch, new, circuit.index.alternatives[g][i])
+                _activate(branch, new, (alternatives[i],))
             stack.append((branch, new, {**choices, gen.id: selection}))
     models = [
-        Model(tuple(compress(circuit.index.values, state)), tuple(sorted(c.items())))
+        Model(tuple(compress(circuit.values, state)), tuple(sorted(c.items())))
         for state, c in found.items()
     ]
     return sorted(models, key=lambda model: model.assignment)

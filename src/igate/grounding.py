@@ -70,7 +70,6 @@ class GroundRecords:
 
     atoms: tuple[str, ...]
     records: list[tuple]
-    domain: frozenset[str] = frozenset()
 
     def statements(self, records: Iterable[tuple]) -> list[Statement]:
         """The `Literal` view of `records`, one Literal per wire."""
@@ -315,7 +314,7 @@ def ground_records(program: Program, max_rules: int = MAX_GROUND_RULES) -> Groun
         records.extend(_instances(stmt, bound, split, pool, ids))
     for i in given:
         records[i] = _record(records[i], ids)
-    return GroundRecords(tuple(ids), records, program.domain)
+    return GroundRecords(tuple(ids), records)
 
 
 def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Program:

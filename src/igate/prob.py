@@ -62,7 +62,7 @@ def _compile_weighted(
     records, annotated = [], []
     for record in ground.records:
         kind, head, _, head_conn, _, probability = record
-        if kind is Rule and head_conn in (OR, XOR) and len(head) > 1:
+        if kind is Rule and head_conn in (OR, XOR) and len(set(head)) > 1:
             raise ProbabilityError(
                 "probabilistic evaluation does not support disjunctive heads"
             )
@@ -82,9 +82,9 @@ def _compile_weighted(
         switch = 2 * (len(ground.atoms) + i)
         bodies = [(w,) for w in body] if body_conn == OR else [body]
         records += ((Rule, head, b + (switch,), head_conn, AND, None) for b in bodies)
-    circuit = compile_records(GroundRecords(atoms, records, ground.domain))
+    circuit = compile_records(GroundRecords(atoms, records))
     probabilities = [record[5] for record in annotated]
-    channels = [circuit.index.ids[a] for a in atoms[len(ground.atoms) :]]
+    channels = [circuit.ids[a] for a in atoms[len(ground.atoms) :]]
     return circuit, probabilities, channels
 
 
@@ -110,10 +110,10 @@ def enumerate_worlds(
         _activate(active, pending, itertools.compress(channels, bits))
         _fixpoint(circuit, active, pending, {}, {})
         outcome = None
-        if not _contradictory(active, len(circuit.index.names)):
+        if not _contradictory(active, len(circuit.names)):
             for c in channels:  # the switches stay out of the outcome
                 active[c] = 0
-            outcome = Model(tuple(itertools.compress(circuit.index.values, active)))
+            outcome = Model(tuple(itertools.compress(circuit.values, active)))
         worlds.append(WeightedWorld(tuple(assignment), weight, outcome))
     return worlds
 
@@ -205,7 +205,7 @@ def query_prob(
         value[c] = bdd.node(level, 0, 1)
         pending.append(c)
     conj, disj = (functools.partial(apply, op) for op in (_AND, _OR))
-    _drain(circuit.index.watch, value, pending, conj, disj)
+    _drain(circuit.watch, value, pending, conj, disj)
     for c in channels:  # the switches stay out of the outcome
         value[c] = 0
     contradiction = 0
@@ -213,7 +213,7 @@ def query_prob(
         contradiction = apply(_OR, contradiction, apply(_AND, positive, negative))
 
     def holds(condition: int, literal: Literal) -> int:
-        c = circuit.index.ids.get(literal.atom_name)
+        c = circuit.ids.get(literal.atom_name)
         derived = 0 if c is None else value[c]
         return apply(_DIFF if literal.negative else _AND, condition, derived)
 

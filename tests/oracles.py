@@ -218,7 +218,7 @@ def former_compile_weighted(program: Program, max_switches: int, ground, compile
     return (
         circuit,
         [s.probability for s in switches],
-        [circuit.index.ids[s.channel] for s in switches],
+        [circuit.ids[s.channel] for s in switches],
     )
 
 

@@ -263,11 +263,12 @@ def _complement(name):
 
 
 class TestChannelIndex:
+    """The integer fields of a `Circuit`, read by the digital kernel."""
+
     def test_index_agrees_with_the_named_circuit(self):
         weighted = guarded = unguarded = 0
         for circuit in _index_circuits(77):
-            index = circuit.index
-            names, ids = index.names, index.ids
+            names, ids = circuit.names, circuit.ids
             weighted += any(name.startswith("$") for name in names)
             assert set(names) == circuit.channels and len(names) == len(ids)
             atoms = list(names[::2])
@@ -276,7 +277,7 @@ class TestChannelIndex:
             for c, name in enumerate(names):
                 assert ids[name] == c
                 assert names[c ^ 1] == _complement(name)
-                assert index.values[c] == (names[c & ~1], c % 2 == 0)
+                assert circuit.values[c] == (names[c & ~1], c % 2 == 0)
             # One watch slot per channel, then one per generator's ready wire;
             # a guard is an AND entry into the ready wire, and an unguarded
             # generator's ready wire is a fact.
@@ -290,34 +291,33 @@ class TestChannelIndex:
                 needs = inputs if kind == "and" and len(inputs) > 1 else ()
                 for c in inputs:
                     expected[c].append((output, needs))
-            assert index.watch == expected
+            assert circuit.watch == expected
             generators = enumerate(circuit.generators)
             ready = [wires + g for g, gen in generators if not gen.guard]
-            assert sorted(index.facts) == sorted(
+            assert sorted(circuit.initial) == sorted(
                 [ids[c] for c in circuit.facts] + ready
             )
             guarded += len(circuit.generators) - len(ready)
             unguarded += len(ready)
-            assert len(index.alternatives) == len(circuit.generators)
-            for gen, alternatives in zip(circuit.generators, index.alternatives):
+            assert len(circuit.alternatives) == len(circuit.generators)
+            for gen, alternatives in zip(circuit.generators, circuit.alternatives):
                 assert len(alternatives) == len(gen.alternatives)
-                for alt_ids, alt in zip(alternatives, gen.alternatives):
-                    assert sorted(names[c] for c in alt_ids) == sorted(alt)
+                for c, alt in zip(alternatives, gen.alternatives):
+                    assert alt == {names[c]}
         assert weighted > 0 and guarded > 0 and unguarded > 0
 
     def test_ready_wires_follow_the_channels(self):
         circuit = compiled("1{a; b}1. x; y :- a. p ^ q :- a, -b.")
-        index = circuit.index
-        assert len(index.names) == 12  # a, b, p, q, x, y
+        assert len(circuit.names) == 12  # a, b, p, q, x, y
         assert [gen.guard for gen in circuit.generators] == [("a", "-b"), ("a",), ()]
-        assert index.watch[12:] == [[], [], []]
-        assert index.watch[0] == [(12, (0, 3)), (13, ())]
-        assert index.watch[3] == [(12, (0, 3))]
-        assert sorted(index.facts) == [14]
+        assert circuit.watch[12:] == [[], [], []]
+        assert circuit.watch[0] == [(12, (0, 3)), (13, ())]
+        assert circuit.watch[3] == [(12, (0, 3))]
+        assert sorted(circuit.initial) == [14]
 
     def test_circuit_without_channels(self):
         circuit = compiled("")
-        assert circuit.index.names == () and circuit.index.watch == []
+        assert circuit.names == () and circuit.watch == []
         assert propagate(circuit) == frozenset()
         assert [m.assignment for m in enumerate_models(circuit)] == [()]
 

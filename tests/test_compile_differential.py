@@ -333,13 +333,12 @@ def former_compile(program: Program, xor_scorer: str | None = None):
     """The former `compile_program`: the records of the former `_encode`."""
     if not program.is_ground:
         raise CircuitError("compilation requires a ground program; ground it first")
-    return compile_records(GroundRecords(*former_encode(program), program.domain), xor_scorer)
+    return compile_records(GroundRecords(*former_encode(program)), xor_scorer)
 
 
 def circuit_fields(circuit) -> tuple:
-    index = circuit.index
     return (
-        index.names, index.watch, index.facts, index.alternatives,
+        circuit.names, circuit.watch, circuit.initial, circuit.alternatives,
         circuit.wiring, circuit.generators,
     )
 

@@ -45,10 +45,10 @@ def _derivations(circuit: Circuit, switches: Sequence[int], bdd: _BDD) -> list[i
     """Per channel, the BDD of its worlds: the kernel's least fixpoint with BDD
     OR/AND in place of setting a byte. Switch i starts as variable i, a fact
     as true; a channel is read again only when its node changes."""
-    watch, apply = circuit.index.watch, bdd.apply
-    value = [0] * len(circuit.index.names)
-    pending = [*circuit.index.facts, *switches]
-    for c in circuit.index.facts:
+    watch, apply = circuit.watch, bdd.apply
+    value = [0] * len(circuit.names)
+    pending = [*circuit.initial, *switches]
+    for c in circuit.initial:
         value[c] = 1
     for level, c in enumerate(switches):
         value[c] = bdd.node(level, 0, 1)
@@ -82,7 +82,7 @@ def former_query(program, query, given=(), max_switches=MAX_SWITCHES):
             contradiction = apply(_OR, contradiction, apply(_AND, positive, negative))
 
         def holds(condition: int, literal: Literal) -> int:
-            c = circuit.index.ids.get(literal.atom_name)
+            c = circuit.ids.get(literal.atom_name)
             derived = 0 if c is None else value[c]
             return apply(_DIFF if literal.negative else _AND, condition, derived)
 
@@ -202,7 +202,7 @@ def test_channel_bdds_agree_with_digital_propagation_world_by_world():
         result, bdd, value = traced_query(program, query)
         assert value is not None, result
         circuit, _, channels = _compile_weighted(program, MAX_SWITCHES)
-        names = circuit.index.names
+        names = circuit.names
         every = list(itertools.product((False, True), repeat=len(channels)))
         for bits in rng.sample(every, min(len(every), 16)):
             on = ["$s" + str(i) for i, bit in enumerate(bits) if bit]

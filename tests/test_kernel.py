@@ -271,7 +271,7 @@ class TestReadyWires:
             scorers = random_scorers(rng, circuit)
             active, pending = _initial(circuit, inputs)
             unresolved = _fixpoint(circuit, active, pending, choices, scorers)
-            ids, wires = circuit.index.ids, len(circuit.index.names)
+            ids, wires = circuit.ids, len(circuit.names)
             assert len(active) == wires + len(circuit.generators)
             for g, gen in enumerate(circuit.generators):
                 ready = all(active[ids[c]] for c in gen.guard)

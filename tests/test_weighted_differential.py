@@ -10,14 +10,18 @@ whole program encoded again. On random weighted programs, shuffled and
 repeated, on a first-order program and on the refused ones, both must give
 the same circuit field by field, the same switch probabilities and channel
 ids, `==` query values and world lists, and the same error type and text.
+A head that repeats one disjunct, which the reference refuses, reads as the
+rule of that disjunct, as every other path wires it.
 """
 
+import io
 import random
 
 import pytest
 
 from igate import prob
 from igate.circuit import compile_program
+from igate.cli import _dispatch
 from igate.dsl import Literal, parse_literal, parse_program
 from igate.errors import GuardError, IgateError, ProbabilityError
 from igate.grounding import ground_program
@@ -51,12 +55,11 @@ def compiled(compile_, program, max_switches=MAX_SWITCHES):
 
     def run():
         circuit, probabilities, channels = compile_(program, max_switches)
-        index = circuit.index
         fields = (
-            index.names,
-            index.watch,
-            index.facts,
-            index.alternatives,
+            circuit.names,
+            circuit.watch,
+            circuit.initial,
+            circuit.alternatives,
             circuit.wiring,
             circuit.generators,
         )
@@ -119,8 +122,8 @@ def test_first_order_program(on_former):
 @pytest.mark.parametrize(
     "source, message",
     [
-        ("a; a :- b.\n0.5 :: b.", "disjunctive heads"),
         ("0.5 :: a ^ b :- c.", "disjunctive heads"),
+        ("a; b; a :- c.\n0.5 :: c.", "disjunctive heads"),  # one disjunct repeated
         ("1{a; b}1.\n0.5 :: a.", "choice statements"),
         ("".join(f"0.5 :: a{i}.\n" for i in range(21)), "21 probabilistic switches"),
         # a disjunctive head before a choice, and a choice before the guard
@@ -136,3 +139,54 @@ def test_refused_programs_fail_as_before(on_former, source, message):
     query = Literal("a")
     assert outcome(query_prob, program, query) == on_former(query_prob, program, query)
     assert outcome(enumerate_worlds, program) == on_former(enumerate_worlds, program)
+
+
+
+# A head that repeats one disjunct: the program, its deduplicated form, its
+# first-order form over "#entity k." and what `ig prob --query a` prints
+REPEATED_DISJUNCTS = {
+    "or": (
+        "0.5 :: b.\na; a :- b.",
+        "0.5 :: b.\na :- b.",
+        "0.5 :: b(k).\na(X); a(X) :- b(X).",
+        "0.500000000000",
+    ),
+    "weighted": (
+        "0.5 :: b.\n0.4 :: a; a :- b.",
+        "0.5 :: b.\n0.4 :: a :- b.",
+        "0.5 :: b(k).\n0.4 :: a(X); a(X) :- b(X).",
+        "0.200000000000",
+    ),
+    "xor": (
+        "0.5 :: b.\na ^ a :- b.",
+        "0.5 :: b.\na :- b.",
+        "0.5 :: b(k).\na(X) ^ a(X) :- b(X).",
+        "0.500000000000",
+    ),
+    "mixed": (
+        "0.5 :: b.\n0.4 :: a; a :- b.\nc ^ c ^ c :- a.\n0.3 :: d.\n:- c, d.",
+        "0.5 :: b.\n0.4 :: a :- b.\nc :- a.\n0.3 :: d.\n:- c, d.",
+        "0.5 :: b(k).\n0.4 :: a(X); a(X) :- b(X).\nc(X) ^ c(X) ^ c(X) :- a(X).\n"
+        "0.3 :: d(k).\n:- c(X), d(X).",
+        "0.148936170213",  # 0.2 * 0.7 / (1 - 0.2 * 0.3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_DISJUNCTS)
+def test_repeated_disjunct_head_reads_as_a_rule(tmp_path, name):
+    source, deduplicated, first_order, printed = REPEATED_DISJUNCTS[name]
+    program, rule = parse_program(source), parse_program(deduplicated)
+    lifted = parse_program("#entity k.\n" + first_order)
+    assert enumerate_worlds(program) == enumerate_worlds(rule)
+    for query, given in [("a", ()), ("-a", ()), ("a", ("b",)), ("b", ("a",))]:
+        args = parse_literal(query), tuple(map(parse_literal, given))
+        value = query_prob(program, *args)
+        assert abs(value - query_prob(rule, *args)) <= 1e-12
+        query, *given = (parse_literal(f"{l}(k)") for l in (query, *given))
+        assert abs(value - query_prob(lifted, query, given)) <= 1e-12
+    path = tmp_path / "repeated.ig"
+    path.write_text(source)
+    out, err = io.StringIO(), io.StringIO()
+    assert _dispatch(["prob", str(path), "--query", "a"], out, err) == 0, err.getvalue()
+    assert out.getvalue() == printed + "\n"

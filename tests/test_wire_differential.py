@@ -206,6 +206,18 @@ class NamedCircuit:
     def atoms(self) -> list[str]:
         return list(self.index.names[::2])
 
+    # The kernel's fields of a `Circuit`, read from `index`; `alternatives`
+    # unpacks each former one-channel alternative to its channel.
+    names = property(lambda self: self.index.names)
+    ids = property(lambda self: self.index.ids)
+    values = property(lambda self: self.index.values)
+    watch = property(lambda self: self.index.watch)
+    initial = property(lambda self: self.index.facts)
+
+    @property
+    def alternatives(self) -> tuple:
+        return tuple(tuple(c for (c,) in alts) for alts in self.index.alternatives)
+
     @cached_property
     def index(self) -> NamedIndex:
         atoms = sorted({c.lstrip("-") for c in self.channels})
@@ -394,7 +406,7 @@ def assert_same_grounding(program: Program) -> int:
 
 
 def gate_ids(circuit) -> list:
-    ids = circuit.index.ids
+    ids = circuit.ids
     return [(g.kind, tuple(ids[c] for c in g.inputs), ids[g.output]) for g in circuit.gates]
 
 
@@ -415,16 +427,15 @@ def assert_same_circuit(ground: Program, xor_scorer=None) -> None:
     if not isinstance(expected, NamedCircuit):
         assert got == expected, text
         return
-    old, new = expected.index, got.index
-    assert new.names == old.names and new.ids == old.ids, text
-    assert new.values == old.values, text
+    assert got.names == expected.names and got.ids == expected.ids, text
+    assert got.values == expected.values, text
     assert got.channels == expected.channels and got.facts == expected.facts, text
-    assert sorted(new.facts) == sorted(old.facts), text
-    assert new.alternatives == old.alternatives, text
-    assert len(new.watch) == len(old.watch), text
-    for wire, (entries, reference) in enumerate(zip(new.watch, old.watch)):
+    assert sorted(got.initial) == sorted(expected.initial), text
+    assert got.alternatives == expected.alternatives, text  # one channel each
+    assert len(got.watch) == len(expected.watch), text
+    for wire, (entries, reference) in enumerate(zip(got.watch, expected.watch)):
         assert Counter(entries) == Counter(reference), (wire, text)
-    assert new.watch == old.watch, text
+    assert got.watch == expected.watch, text
     assert got.gates == expected.gates, text
     assert gate_ids(got) == list(got.wiring), text
     assert got.generators == expected.generators, text
@@ -522,8 +533,8 @@ class TestCircuit:
                 continue
             got = compile_records(ground_records(program))
             reference = reference_compile(expected)
-            assert got.index.names == reference.index.names
-            assert got.index.watch == reference.index.watch
+            assert got.names == reference.names
+            assert got.watch == reference.watch
             assert got.gates == reference.gates
             assert got.generators == reference.generators
             assert export_dot(got) == export_dot(reference)

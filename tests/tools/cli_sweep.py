@@ -1,0 +1,150 @@
+"""Record the output of a fixed, seeded list of `ig` invocations as JSON.
+
+    PYTHONPATH=path/to/src python tests/tools/cli_sweep.py OUT.json
+
+`igate` comes from PYTHONPATH; the inputs come from this checkout (the demo
+programs, the text `HAND_WRITTEN` grounding cases, programs drawn with fixed
+seeds from the generators in `tests/oracles.py`, and heads that repeat a
+disjunct). Each input runs through `ground`, `format`, `compile --dot`,
+`complete`, `models` (plain, `--json`, `--classical --max-choices 12`),
+`eval`, `prob` (two queries) and `classify --json`, in-process through
+`cli._dispatch`. For each invocation OUT.json holds the argv, the exit code,
+stdout, stderr and the DOT text written, if any. The input files live in a
+temporary directory, named relative to it, so two runs on the same code
+write the same bytes: to compare two versions of igate, run the script once
+with each version's `src` on PYTHONPATH and `cmp` the outputs.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(TESTS))
+
+from igate.cli import _dispatch  # noqa: E402
+from igate.dsl import Program, parse_program  # noqa: E402
+from igate.errors import IgateError  # noqa: E402
+from oracles import (  # noqa: E402
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
+from test_grounding_count import HAND_WRITTEN, random_mixed_program  # noqa: E402
+
+REPEATED_DISJUNCTS = [
+    "0.5 :: b.\na; a :- b.\n",
+    "a; a :- b.\n0.5 :: b.\n",
+    "0.5 :: b.\n0.4 :: a; a :- b.\n",
+    "0.5 :: b.\na ^ a :- b.\n",
+    "0.5 :: a.\nc ^ c :- a.\n",
+    "0.5 :: b.\n0.4 :: a; a :- b.\nc ^ c ^ c :- a.\n0.3 :: d.\n:- c, d.\n",
+    "0.5 :: c.\na; b; a :- c.\n",
+    "#entity k.\n0.5 :: b(k).\na(X); a(X) :- b(X).\n",
+    "b.\na; a :- b.\nc ^ c :- a.\n",
+]
+
+
+def text(program: Program) -> str:
+    """Program text that parses back to `program`, in its statement order."""
+    lines = [f"#entity {', '.join(sorted(program.domain))}."] if program.domain else []
+    return "".join(line + "\n" for line in lines + [str(s) for s in program.statements])
+
+
+def query_atoms(program: Program) -> list[str]:
+    """The program's atoms, sorted, their variables bound to the first constant."""
+    constant = min(program.domain, default="c1")
+
+    def bound(lit) -> str:
+        args = ",".join(constant if t.is_variable else t.name for t in lit.args)
+        return f"{lit.predicate}({args})" if args else lit.predicate
+
+    return sorted({bound(lit) for s in program.statements for lit in s.literals()})
+
+
+def inputs() -> list[tuple[str, tuple[str, str]]]:
+    """(file text, (first atom, last atom)) pairs; the atoms are the queries."""
+    programs = TESTS.parent / "demos" / "programs"
+    sources = [path.read_text(encoding="utf-8") for path in sorted(programs.glob("*.ig"))]
+    sources += [case for case in HAND_WRITTEN if isinstance(case, str)]
+    rng = random.Random(2201)
+    for make in (random_ground_program, random_first_order_program, random_weighted_program):
+        sources += [text(make(rng)) for _ in range(50)]
+    sources += [text(random_mixed_program(rng)) for _ in range(30)]
+    sources += REPEATED_DISJUNCTS
+    cases = []
+    for source in sources:
+        try:
+            atoms = query_atoms(parse_program(source)) or ["a"]
+        except IgateError:
+            atoms = ["a", "b"]
+        cases.append((source, (atoms[0], atoms[-1])))
+    return cases
+
+
+def commands(file: str, dot: str, queries: tuple[str, str]) -> list[list[str]]:
+    first, last = queries
+    return [
+        ["ground", file],
+        ["format", file],
+        ["compile", file, "--dot", dot],
+        ["complete", file],
+        ["models", file],
+        ["models", file, "--json"],
+        ["models", file, "--classical", "--max-choices", "12"],
+        ["eval", file],
+        ["prob", file, "--query", first],
+        ["prob", file, "--query", "-" + last, "--given", "-" + first],
+        ["classify", file, "--json"],
+    ]
+
+
+def sweep() -> list[dict]:
+    results = []
+    for n, (source, queries) in enumerate(inputs()):
+        file, dot = f"p{n:04d}.ig", f"p{n:04d}.dot"
+        Path(file).write_text(source, encoding="utf-8")
+        for argv in commands(file, dot, queries):
+            out, err = io.StringIO(), io.StringIO()
+            code = _dispatch(argv, out, err)
+            drawn = Path(dot).read_text(encoding="utf-8") if os.path.exists(dot) else None
+            if drawn is not None:
+                os.remove(dot)
+            results.append(
+                {"argv": argv, "code": code, "stdout": out.getvalue(),
+                 "stderr": err.getvalue(), "dot": drawn}
+            )
+    return results
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    target = Path(sys.argv[1]).resolve()
+    start, here = time.perf_counter(), os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cli-sweep-") as tmp:
+        os.chdir(tmp)
+        try:
+            results = sweep()
+        finally:
+            os.chdir(here)
+    target.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    drawn = sum(r["dot"] is not None for r in results)
+    print(
+        f"{len(results)} invocations, {drawn} DOT files,"
+        f" {time.perf_counter() - start:.1f} s -> {target}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
