@@ -19,16 +19,20 @@ at 2. "#entity" lines populate Program.domain rather than appearing as
 statements. A probability annotation ("0.3 :: ...") is only meaningful on
 rules and facts.
 
-Tokens carry their offset into the source, which is read in one regex
-pass. A ParseError's line and column are derived from that offset when the
-error is raised. A leading UTF-8 byte-order mark is dropped first, so it
+One regex findall reads the source into token strings, and the parser
+walks them by index, reading each token's kind from its text. A character
+that starts no token, or the keyword "not", is the error wherever it
+stands, ahead of any grammar error. A ParseError's line and column are
+computed only when it is raised, by scanning the text again up to the
+failing token. A leading UTF-8 byte-order mark is dropped first, so it
 takes no column.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -239,25 +243,35 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 # ---------------------------------------------------------------------------
 
-# Every character starts a match (the last group takes any character no
-# token starts with, "\n" is whitespace), so finditer leaves no gaps.
+# Group 1 of each match is one token, and the match also takes the whitespace
+# and comments before it, so findall returns the token strings alone and ends
+# with "", the end-of-input token at \Z (twice after trailing whitespace; the
+# grammar stops at the first). A token's kind is read from its text. The
+# comments are one branch of two, so that the engine tests one character for
+# them, and punctuation, the commonest token, is tried first.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[a-z][A-Za-z0-9_]*)
-  | (?P<var>[A-Z][A-Za-z0-9_]*)
-  | (?P<directive>\#[a-z]+)
-  | (?P<implies>:-)
-  | (?P<annot>::)
-  | (?P<punct>[(),;^{}.\-])
-  | (?P<unexpected>.)
+    \s* (?: %[^\n]*\s* (?: %[^\n]*\s* )* | )
+    (   [(),;^{}.\-]
+      | [A-Za-z][A-Za-z0-9_]*               # constant, predicate or variable
+      | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+      | :- | :: | \#[a-z]+
+      | .                                   # a character that starts no token
+      | \Z
+    )
     """,
     re.VERBOSE,
+)
+_PUNCT = frozenset("(),;^{}.-")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")  # constants, predicates
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")  # variables
+_ONLY_ONE = "only exactly-one choices are supported (write 1{...}1)"
+_NOT = (
+    "negation as failure ('not') is not supported; circuits only realize"
+    " strong negation, written '-'"
 )
 
 
@@ -268,210 +282,177 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, column)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens, ending with an eof token at len(text)."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        value = m.group()
-        if kind == "unexpected":
-            raise _error(text, m.start(), f"unexpected character {value!r}")
-        if kind == "ident" and value == "not":
-            raise _error(
-                text,
-                m.start(),
-                "negation as failure ('not') is not supported; circuits only"
-                " realize strong negation, written '-'",
+def _expected(want: str, found: str) -> str:
+    return f"expected {want!r}, found {found or 'end of input'!r}"
+
+
+def _parse(text: str, literal_only: bool = False) -> Program | Literal:
+    """Recursive descent over the token strings of `text`, by index. The
+    index never passes the end-of-input token: a token is consumed only
+    after it has been matched. A position is computed only for an error."""
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
+    toks = _TOKEN_RE.findall(text)
+    terms: dict[str, Term] = {}
+    literals: dict[tuple, Literal] = {}  # one object per literal
+    constants: dict[str, int] = {}  # the first token index of each constant
+
+    def fail(i: int, message: str) -> ParseError:
+        """A ParseError at token `i`, unless some token is a character that
+        starts no token or the keyword "not": the first such token is the
+        error, wherever it is. The offset comes from scanning the text again."""
+        for k, t in enumerate(toks):
+            if t == "not":
+                i, message = k, _NOT
+                break
+            if len(t) == 1 and not (
+                t in _PUNCT or t in _LOWER or t in _UPPER or t.isdecimal()
+            ):
+                i, message = k, f"unexpected character {t!r}"
+                break
+        match = next(islice(_TOKEN_RE.finditer(text), i, None))
+        return _error(text, match.start(1), message)
+
+    def lits(
+        i: int, allow: tuple[str, ...], symbols: dict[str, str] = _SYMBOL_CONNECTIVE
+    ) -> tuple[list[Literal], str, int]:
+        """(literals, connective, next index) of the literals from token i
+        on, joined by one connective of `symbols`; it must be in `allow`."""
+        found: list[Literal] = []
+        connective = None
+        while True:
+            name = toks[i]
+            negative = name == "-"
+            if negative:
+                i += 1
+                name = toks[i]
+            if name[:1] not in _LOWER:
+                raise fail(i, _expected("ident", name))
+            at = i
+            i += 1
+            args: tuple[str, ...] = ()
+            if toks[i] == "(":
+                while True:
+                    i += 1
+                    arg = toks[i]
+                    if arg[:1] in _LOWER:
+                        constants.setdefault(arg, i)
+                    elif arg[:1] not in _UPPER:
+                        raise fail(i, "expected a constant or variable")
+                    args += (arg,)
+                    i += 1
+                    if toks[i] != ",":
+                        break
+                if toks[i] != ")":
+                    raise fail(i, _expected(")", toks[i]))
+                i += 1
+                if len(args) > 2:
+                    arity = f"has arity {len(args)}; arity is capped at 2"
+                    raise fail(at, f"predicate {name!r} {arity}")
+            key = (name, args, negative)
+            lit = literals.get(key)
+            if lit is None:
+                interned = [terms.get(a) or terms.setdefault(a, Term(a)) for a in args]
+                lit = literals[key] = Literal(name, tuple(interned), negative)
+            found.append(lit)
+            symbol = toks[i]
+            if symbol not in symbols:
+                # a list without separators has one literal; Rule marks it 'single'
+                return found, connective or AND, i
+            conn = symbols[symbol]
+            if conn not in allow:
+                raise fail(i, f"connective {symbol!r} is not allowed here")
+            if connective is None:
+                connective = conn
+            elif connective != conn:
+                raise fail(i, "mixed connectives in one head or body; split the rule")
+            i += 1
+
+    # "not" is the one bad token the grammar would accept; the test of the
+    # text is a cheap screen for the test of the tokens
+    if "not" in text and "not" in toks:
+        raise fail(toks.index("not"), _NOT)
+
+    if literal_only:
+        (lit,), _, i = lits(0, (), {})
+        if toks[i]:
+            raise fail(i, f"trailing input after literal: {toks[i]!r}")
+        return lit
+
+    statements: list[Statement] = []
+    domain: set[str] = set()
+    i = 0
+    while t := toks[i]:
+        probability = None
+        if t[0].isdecimal() and toks[i + 1] == "::":
+            probability = float(t)
+            if not 0.0 <= probability <= 1.0:
+                raise fail(i, f"probability {probability} outside [0, 1]")
+            i += 2
+            t = toks[i]
+            if t[:1] == "#" or t[:1].isdecimal() or t == ":-":
+                raise fail(i, "probability annotations apply to rules only")
+        if t[:1] == "#":
+            if t != "#entity":
+                raise fail(i, f"unknown directive {t!r}")
+            while True:
+                i += 1
+                if toks[i][:1] not in _LOWER:
+                    raise fail(i, _expected("ident", toks[i]))
+                domain.add(toks[i])
+                i += 1
+                if toks[i] != ",":
+                    break
+        elif t[:1].isdecimal():
+            if t != "1":
+                raise fail(i, _ONLY_ONE)
+            at = i
+            if toks[i + 1] != "{":
+                raise fail(i + 1, _expected("{", toks[i + 1]))
+            choice, _, i = lits(i + 2, (OR,), {";": OR})
+            if toks[i] != "}":
+                raise fail(i, _expected("}", toks[i]))
+            i += 1
+            if not toks[i][:1].isdecimal():
+                raise fail(i, _expected("number", toks[i]))
+            if toks[i] != "1":
+                raise fail(i, _ONLY_ONE)
+            i += 1
+            if toks[i] != ".":  # checked again below, before the next statement
+                raise fail(i, _expected(".", toks[i]))
+            if len(choice) < 2:
+                raise fail(at, "a choice needs at least two alternatives")
+            if len(set(choice)) != len(choice):
+                raise fail(at, "choice alternatives must be distinct")
+            statements.append(Choice(tuple(choice)))
+        elif t == ":-":
+            body, _, i = lits(i + 1, (AND,))
+            statements.append(Constraint(tuple(body)))
+        else:
+            head, head_conn, i = lits(i, (AND, OR, XOR))
+            body, body_conn = [], AND
+            if toks[i] == ":-":
+                body, body_conn, i = lits(i + 1, (AND, OR))
+            statements.append(
+                Rule(tuple(head), tuple(body), head_conn, body_conn, probability)
             )
-        tokens.append((kind, value, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+        if toks[i] != ".":
+            raise fail(i, _expected(".", toks[i]))
+        i += 1
 
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-class _Parser:
-    """Recursive descent over the tokens of `text`. The index never passes
-    the eof token: a token is consumed only after it has been matched."""
-
-    def __init__(self, text: str):
-        self.text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
-        self.tokens = _tokenize(self.text)
-        self.pos = 0
-        self.constants: dict[str, int] = {}  # first offset of each constant
-        self.literals: dict[tuple, Literal] = {}  # one object per literal
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[self.pos + ahead]
-
-    def advance(self) -> tuple[str, str, int]:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}")
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, offset: int | None = None) -> ParseError:
-        """A ParseError at `offset`, by default at the next token."""
-        return _error(self.text, self.peek()[2] if offset is None else offset, message)
-
-    # -- grammar ------------------------------------------------------------
-
-    def program(self) -> Program:
-        statements: list[Statement] = []
-        domain: set[str] = set()
-        while self.peek()[0] != "eof":
-            stmt = self.statement(domain)
-            if stmt is not None:
-                statements.append(stmt)
-        introduced = set(domain)
+    undeclared = constants.keys() - domain
+    if undeclared:  # a ground fact introduces the constants it names
         for stmt in statements:
             if isinstance(stmt, Rule) and stmt.is_fact and not any(
                 t.is_variable for l in stmt.head for t in l.args
             ):
-                introduced.update(t.name for l in stmt.head for t in l.args)
-        undeclared = sorted(self.constants.keys() - introduced)
-        if undeclared:
-            raise self.error(
-                "constants not declared with #entity and not introduced by a"
-                f" ground fact: {', '.join(undeclared)}",
-                min(self.constants[c] for c in undeclared),
-            )
-        return Program(tuple(statements), frozenset(domain))
-
-    def statement(self, domain: set[str]) -> Statement | None:
-        probability: float | None = None
-        kind, _, offset = self.peek()
-        if kind == "number" and self.peek(1)[0] == "annot":
-            probability = float(self.advance()[1])
-            self.advance()
-            if not 0.0 <= probability <= 1.0:
-                raise self.error(f"probability {probability} outside [0, 1]", offset)
-            kind = self.peek()[0]
-            if kind in ("directive", "number", "implies"):
-                raise self.error("probability annotations apply to rules only")
-
-        if kind == "directive":
-            self.domain_decl(domain)
-            return None
-        if kind == "number":
-            return self.choice()
-        if kind == "implies":
-            return self.constraint()
-        return self.rule(probability)
-
-    def domain_decl(self, domain: set[str]) -> None:
-        _, directive, offset = self.expect("directive")
-        if directive != "#entity":
-            raise self.error(f"unknown directive {directive!r}", offset)
-        domain.add(self.expect("ident")[1])
-        while self.peek()[1] == ",":
-            self.advance()
-            domain.add(self.expect("ident")[1])
-        self.expect("punct", ".")
-
-    def choice(self) -> Choice:
-        _, opener, offset = self.expect("number")
-        if opener != "1":
-            raise self.error(
-                "only exactly-one choices are supported (write 1{...}1)", offset
-            )
-        self.expect("punct", "{")
-        literals = [self.literal()]
-        while self.peek()[1] == ";":
-            self.advance()
-            literals.append(self.literal())
-        self.expect("punct", "}")
-        _, closer, closer_offset = self.expect("number")
-        if closer != "1":
-            raise self.error(
-                "only exactly-one choices are supported (write 1{...}1)", closer_offset
-            )
-        self.expect("punct", ".")
-        if len(literals) < 2:
-            raise self.error("a choice needs at least two alternatives", offset)
-        if len(set(literals)) != len(literals):
-            raise self.error("choice alternatives must be distinct", offset)
-        return Choice(tuple(literals))
-
-    def constraint(self) -> Constraint:
-        self.expect("implies")
-        body, _ = self.literal_list(allow=(AND,))
-        self.expect("punct", ".")
-        return Constraint(tuple(body))
-
-    def rule(self, probability: float | None) -> Rule:
-        head, head_conn = self.literal_list(allow=(AND, OR, XOR))
-        body: list[Literal] = []
-        body_conn = AND
-        if self.peek()[0] == "implies":
-            self.advance()
-            body, body_conn = self.literal_list(allow=(AND, OR))
-        self.expect("punct", ".")
-        return Rule(
-            head=tuple(head),
-            body=tuple(body),
-            head_connective=head_conn,
-            body_connective=body_conn,
-            probability=probability,
+                undeclared -= {t.name for l in stmt.head for t in l.args}
+    if undeclared:
+        raise fail(
+            min(constants[c] for c in undeclared),
+            "constants not declared with #entity and not introduced by a"
+            f" ground fact: {', '.join(sorted(undeclared))}",
         )
-
-    def literal_list(self, allow: tuple[str, ...]) -> tuple[list[Literal], str]:
-        literals = [self.literal()]
-        connective: str | None = None
-        while self.peek()[1] in _SYMBOL_CONNECTIVE:
-            _, symbol, offset = self.advance()
-            conn = _SYMBOL_CONNECTIVE[symbol]
-            if conn not in allow:
-                raise self.error(f"connective {symbol!r} is not allowed here", offset)
-            if connective is None:
-                connective = conn
-            elif connective != conn:
-                raise self.error(
-                    "mixed connectives in one head or body; split the rule", offset
-                )
-            literals.append(self.literal())
-        # a list without separators has one literal; Rule marks it 'single'
-        return literals, connective or AND
-
-    def literal(self) -> Literal:
-        negative = self.peek()[1] == "-"
-        if negative:
-            self.advance()
-        _, name, offset = self.expect("ident")
-        args: list[str] = []
-        if self.peek()[1] == "(":
-            self.advance()
-            args.append(self.term())
-            while self.peek()[1] == ",":
-                self.advance()
-                args.append(self.term())
-            self.expect("punct", ")")
-        if len(args) > 2:
-            message = f"predicate {name!r} has arity {len(args)}; arity is capped at 2"
-            raise self.error(message, offset)
-        key = (name, tuple(args), negative)
-        if key not in self.literals:
-            self.literals[key] = Literal(name, tuple(map(Term, args)), negative)
-        return self.literals[key]
-
-    def term(self) -> str:
-        kind, name, offset = self.peek()
-        if kind == "ident":
-            self.constants.setdefault(name, offset)
-        elif kind != "var":
-            raise self.error("expected a constant or variable")
-        self.advance()
-        return name
+    return Program(tuple(statements), frozenset(domain))
 
 
 def parse_program(text: str) -> Program:
@@ -479,17 +460,12 @@ def parse_program(text: str) -> Program:
 
     Raises ParseError with line/column on the first offending token.
     """
-    return _Parser(text).program()
+    return _parse(text)
 
 
 def parse_literal(text: str) -> Literal:
     """Parse a single literal such as "-p(c1, X)"."""
-    parser = _Parser(text)
-    lit = parser.literal()
-    kind, rest, _ = parser.peek()
-    if kind != "eof":
-        raise parser.error(f"trailing input after literal: {rest!r}")
-    return lit
+    return _parse(text, literal_only=True)
 
 
 def atom_literal(atom_name: str, negative: bool = False) -> Literal:
@@ -498,7 +474,7 @@ def atom_literal(atom_name: str, negative: bool = False) -> Literal:
     lit = parse_literal(atom_name)
     if lit.negative:
         raise ParseError("an atom name carries no sign")
-    return replace(lit, negative=negative)
+    return lit.negated() if negative else lit
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from igate.dsl import (
     Program,
     Rule,
     Term,
+    atom_literal,
     canonicalize,
     format_program,
     parse_literal,
@@ -91,6 +92,44 @@ class TestParsing:
                 parse_program(source)
             assert (info.value.line, info.value.column) == (1, 6)
         assert parse_program("\ufeffp.") == parse_program("p.")
+
+    def test_a_bad_character_beats_an_earlier_grammar_error(self):
+        # "b c" on line 1 is a grammar error; the "$" on line 2 is reported
+        with pytest.raises(ParseError) as info:
+            parse_program("a :- b c.\nd :- e$.")
+        assert str(info.value) == "2:7: unexpected character '$'"
+
+    def test_not_as_an_argument_is_the_negation_error(self):
+        with pytest.raises(ParseError, match="negation as failure") as info:
+            parse_program("p(k1).\nq :- p(X, not).")
+        assert (info.value.line, info.value.column) == (2, 11)
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        # \d matches every decimal digit, and float() reads them
+        assert format_program(parse_program("\u0660.\u0665 :: a.")) == "0.5 :: a.\n"
+        with pytest.raises(ParseError) as info:
+            parse_program("\u00b2 :: a.")  # superscript two is no decimal digit
+        assert str(info.value) == "1:1: unexpected character '\u00b2'"
+
+    def test_end_of_input_is_named(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("a :-")
+        assert str(info.value) == "1:5: expected 'ident', found 'end of input'"
+
+    def test_unicode_whitespace_separates_but_only_newline_ends_a_line(self):
+        spaced = parse_program("a.\u00a0b.\u2028c :-\u00a0a,\u2028b.")
+        assert spaced == parse_program("a. b. c :- a, b.")
+        with pytest.raises(ParseError) as info:
+            parse_program("a.\u2028b c.")
+        assert str(info.value) == "1:6: expected '.', found 'c'"
+
+    def test_atom_literal_is_the_parsed_literal_or_its_negation(self):
+        positive = atom_literal("has(x,y)")
+        assert positive == Literal("has", (Term("x"), Term("y")))
+        negative = atom_literal("has(x,y)", negative=True)
+        assert negative == replace(positive, negative=True)
+        with pytest.raises(ParseError, match="carries no sign"):
+            atom_literal("-a")
 
     def test_choice(self):
         choice = single_rule("1{a; -a}1.")

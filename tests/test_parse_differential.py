@@ -397,7 +397,11 @@ def mismatches(texts):
 
 # Single characters of every token class, characters no token starts with,
 # and fragments that reach deeper into the grammar than single characters.
-PIECES = list("pqaXY_019.,;^(){}-:%#  \n\t\r\x0bé!*\" " + BOM) + [
+# Of the non-ASCII ones, "\u0663" is a decimal digit and "\u00b2" is not;
+# "\u00a0", "\u2028", "\x85" and "\x1c" are whitespace that ends no line.
+PIECES = list(
+    "pqaXY_019.,;^(){}-:%#  \n\t\r\x0bé!*\"\u2028\u0663\u00b2\u00a0\x85\x1c" + BOM
+) + [
     "not", "#entity", "::", ":-", "1{", "}1", "0.3", "1e5", "c1", "p(X)",
     "%c\n", ".\n", "\n\n",
 ]

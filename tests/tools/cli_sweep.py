@@ -5,14 +5,17 @@
 `igate` comes from PYTHONPATH; the inputs come from this checkout (the demo
 programs, the text `HAND_WRITTEN` grounding cases, programs drawn with fixed
 seeds from the generators in `tests/oracles.py`, and heads that repeat a
-disjunct). Each input runs through `ground`, `format`, `compile --dot`,
-`complete`, `models` (plain, `--json`, `--classical --max-choices 12`),
-`eval`, `prob` (two queries) and `classify --json`, in-process through
-`cli._dispatch`. For each invocation OUT.json holds the argv, the exit code,
-stdout, stderr and the DOT text written, if any. The input files live in a
-temporary directory, named relative to it, so two runs on the same code
-write the same bytes: to compare two versions of igate, run the script once
-with each version's `src` on PYTHONPATH and `cmp` the outputs.
+disjunct). Each input runs through `parse`, `ground`, `format`,
+`compile --dot`, `complete`, `models` (plain, `--json`, `--classical
+--max-choices 12`), `eval`, `prob` (two queries) and `classify --json`,
+in-process through `cli._dispatch`. `parse` also runs on `MALFORMED` and on
+seeded edits of the inputs, most of which no longer parse, so ParseError
+texts and their line:column are recorded too. For each invocation OUT.json
+holds the argv, the exit code, stdout, stderr and the DOT text written, if
+any. The input files live in a temporary directory, named relative to it,
+so two runs on the same code write the same bytes: to compare two versions
+of igate, run the script once with each version's `src` on PYTHONPATH and
+`cmp` the outputs.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from oracles import (  # noqa: E402
     random_weighted_program,
 )
 from test_grounding_count import HAND_WRITTEN, random_mixed_program  # noqa: E402
+from test_parse_differential import edited  # noqa: E402
 
 REPEATED_DISJUNCTS = [
     "0.5 :: b.\na; a :- b.\n",
@@ -49,6 +53,17 @@ REPEATED_DISJUNCTS = [
     "0.5 :: c.\na; b; a :- c.\n",
     "#entity k.\n0.5 :: b(k).\na(X); a(X) :- b(X).\n",
     "b.\na; a :- b.\nc ^ c :- a.\n",
+]
+
+# The parses pinned in tests/test_dsl.py (errors with their text and
+# position, Unicode digits) and Unicode whitespace between statements.
+MALFORMED = [
+    "a :- b c.\nd :- e$.",
+    "p(k1).\nq :- p(X, not).",
+    "\u0660.\u0665 :: a.",
+    "\u00b2 :: a.",
+    "a :-",
+    "a.\u00a0b.\u2028c :- a,\x85b.\x1c",
 ]
 
 
@@ -69,18 +84,29 @@ def query_atoms(program: Program) -> list[str]:
     return sorted({bound(lit) for s in program.statements for lit in s.literals()})
 
 
-def inputs() -> list[tuple[str, tuple[str, str]]]:
-    """(file text, (first atom, last atom)) pairs; the atoms are the queries."""
+def sources() -> list[str]:
     programs = TESTS.parent / "demos" / "programs"
-    sources = [path.read_text(encoding="utf-8") for path in sorted(programs.glob("*.ig"))]
-    sources += [case for case in HAND_WRITTEN if isinstance(case, str)]
+    texts = [path.read_text(encoding="utf-8") for path in sorted(programs.glob("*.ig"))]
+    texts += [case for case in HAND_WRITTEN if isinstance(case, str)]
     rng = random.Random(2201)
     for make in (random_ground_program, random_first_order_program, random_weighted_program):
-        sources += [text(make(rng)) for _ in range(50)]
-    sources += [text(random_mixed_program(rng)) for _ in range(30)]
-    sources += REPEATED_DISJUNCTS
+        texts += [text(make(rng)) for _ in range(50)]
+    texts += [text(random_mixed_program(rng)) for _ in range(30)]
+    return texts + REPEATED_DISJUNCTS
+
+
+def malformed(texts: list[str]) -> list[str]:
+    """MALFORMED, then 1-3 seeded edits of each of `texts`, twice over."""
+    rng = random.Random(2301)
+    return MALFORMED + [
+        edited(rng, texts[i % len(texts)], rng.randint(1, 3)) for i in range(2 * len(texts))
+    ]
+
+
+def inputs(texts: list[str]) -> list[tuple[str, tuple[str, str]]]:
+    """(file text, (first atom, last atom)) pairs; the atoms are the queries."""
     cases = []
-    for source in sources:
+    for source in texts:
         try:
             atoms = query_atoms(parse_program(source)) or ["a"]
         except IgateError:
@@ -89,9 +115,11 @@ def inputs() -> list[tuple[str, tuple[str, str]]]:
     return cases
 
 
-def commands(file: str, dot: str, queries: tuple[str, str]) -> list[list[str]]:
+def commands(stem: str, queries: tuple[str, str]) -> list[list[str]]:
+    file, dot = stem + ".ig", stem + ".dot"
     first, last = queries
     return [
+        ["parse", file],
         ["ground", file],
         ["format", file],
         ["compile", file, "--dot", dot],
@@ -107,11 +135,16 @@ def commands(file: str, dot: str, queries: tuple[str, str]) -> list[list[str]]:
 
 
 def sweep() -> list[dict]:
+    texts = sources()
+    runs = [(f"p{n:04d}", source, commands(f"p{n:04d}", queries))
+            for n, (source, queries) in enumerate(inputs(texts))]
+    runs += [(f"e{n:04d}", source, [["parse", f"e{n:04d}.ig"]])
+             for n, source in enumerate(malformed(texts))]
     results = []
-    for n, (source, queries) in enumerate(inputs()):
-        file, dot = f"p{n:04d}.ig", f"p{n:04d}.dot"
+    for stem, source, argvs in runs:
+        file, dot = stem + ".ig", stem + ".dot"
         Path(file).write_text(source, encoding="utf-8")
-        for argv in commands(file, dot, queries):
+        for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             code = _dispatch(argv, out, err)
             drawn = Path(dot).read_text(encoding="utf-8") if os.path.exists(dot) else None
