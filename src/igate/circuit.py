@@ -203,12 +203,13 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     before compiling.
 
     One sort of the atom names lays the wires out in sorted atom order.
-    Rules and constraints are wired in record order, and identical
-    unweighted ones (after literal dedup) are wired once, so the gate count
-    does not depend on the order. A head feeding on itself adds nothing
-    under monotone propagation: such an AND gate is dropped, and such an OR
-    gate reduces to its other inputs. Only the records that become
-    generators are put in canonical order (`GroundRecords.canonical`),
+    Rules and constraints are wired in record order. An unweighted rule is
+    wired once per merge key, its distinct head wires, its distinct input
+    wires and its gate kind, and a constraint once per set of literals, so
+    the gate count does not depend on the order. A head feeding on itself
+    adds nothing under monotone propagation: such an AND gate is dropped,
+    and such an OR gate reduces to its other inputs. Only the records that
+    become generators are put in canonical order (`GroundRecords.canonical`),
     so generators (gen0, gen1, ...) are numbered the same whatever the
     order of the statements.
     """
@@ -227,18 +228,6 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     wired: set = set()  # order-free keys of the unweighted rules and constraints
     generative: list[tuple] = []  # choices and rules with a disjunctive head
 
-    def gate(kind: str, inputs: tuple[int, ...], output: int) -> None:
-        if output in inputs:
-            if kind == AND:
-                return
-            inputs = tuple(c for c in inputs if c != output)
-            if not inputs:
-                return
-        entry = (output, inputs if kind == AND and len(inputs) > 1 else ())
-        for c in inputs:
-            watch[c].append(entry)
-        wiring.append((kind, inputs, output))
-
     for record in ground.records:
         kind, head, body, head_conn, body_conn, probability = record
         if kind is Choice:
@@ -248,25 +237,54 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
                 wired.add(key)
                 ordered = sorted(map(wire, key))
                 for out, rest in _completion(ordered, (1).__xor__, names.__getitem__):
-                    if rest:
-                        gate(AND, rest, out)
-                    else:
+                    if not rest:
                         facts[out] = None
-        elif head_conn in (OR, XOR) and len(set(head)) > 1:
+                    elif out not in rest:  # an AND feeding on itself adds nothing
+                        entry = (out, rest if len(rest) > 1 else ())
+                        for c in rest:
+                            watch[c].append(entry)
+                        wiring.append((AND, rest, out))
+        elif len(head) > 1 and head_conn in (OR, XOR) and len(set(head)) > 1:
             generative.append(record)
         elif not body:
             facts.update(dict.fromkeys(map(wire, head)))
         else:
-            heads = dict.fromkeys(map(wire, head))
-            inputs = tuple(dict.fromkeys(map(wire, body)))
+            # the distinct wires per side, keyed as a wire, a sorted pair or a frozenset
+            if len(head) > 2:
+                head = tuple(dict.fromkeys(head))
+            if len(head) > 2:
+                heads = tuple(map(wire, head))
+                hkey = frozenset(heads)
+            elif len(head) == 2 and head[0] != head[1]:
+                a, b = place[head[0]], place[head[1]]
+                heads, hkey = (a, b), (a, b) if a < b else (b, a)
+            else:
+                hkey = place[head[0]]
+                heads = (hkey,)
+            if len(body) > 2:
+                body = tuple(dict.fromkeys(body))
+            if len(body) > 2:
+                inputs = tuple(map(wire, body))
+                ikey = frozenset(inputs)
+            elif len(body) == 2 and body[0] != body[1]:
+                a, b = place[body[0]], place[body[1]]
+                inputs, ikey = (a, b), (a, b) if a < b else (b, a)
+            else:
+                ikey = place[body[0]]
+                inputs = (ikey,)
             kind = OR if body_conn == OR and len(inputs) > 1 else AND
             if probability is None:  # weighted rules never merge
-                key = (frozenset(heads), frozenset(inputs), kind)
-                if key in wired:
+                if (key := (hkey, ikey, kind)) in wired:
                     continue
                 wired.add(key)
             for out in heads:
-                gate(kind, inputs, out)
+                if out in inputs and kind == AND:  # a head feeding on itself
+                    continue
+                ins = tuple(c for c in inputs if c != out) if out in inputs else inputs
+                entry = (out, inputs if kind == AND and len(inputs) > 1 else ())
+                for c in ins:
+                    watch[c].append(entry)
+                wiring.append((kind, ins, out))
 
     generators: list[Generator] = []
     alternatives: list[tuple[int, ...]] = []

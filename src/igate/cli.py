@@ -175,11 +175,11 @@ def _cmd_models(args, out) -> int:
         ground = circuit_mod._classicalize_records(ground)
     compiled = circuit_mod.compile_records(ground)
     models = digital.enumerate_models(compiled, max_choices)
-    for model in models:
-        if args.json:
-            print(json.dumps(model.as_dict(), sort_keys=True), file=out)
-        else:
-            print(model.render(), file=out)
+    if args.json:
+        rows = [json.dumps(model.as_dict(), sort_keys=True) for model in models]
+    else:
+        rows = [model.render() for model in models]
+    out.write("".join(row + "\n" for row in rows))
     return 0
 
 
@@ -198,9 +198,8 @@ def _cmd_eval(args, out) -> int:
         if atom not in compiled.ids:
             raise _UsageError(f"--set names an atom not in the program: {atom}")
         inputs.append(atom if (value == "true") != literal.negative else "-" + atom)
-    active = digital.propagate(compiled, inputs)
-    for atom, value in sorted(digital.atom_values(compiled, active).items()):
-        print(f"{atom}: {value}", file=out)
+    values = digital.atom_values(compiled, digital.propagate(compiled, inputs))
+    out.write("".join(f"{atom}: {value}\n" for atom, value in values.items()))
     return 0
 
 

@@ -276,10 +276,11 @@ _NOT = (
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
-    """A ParseError at the 1-based line and column of `offset` in `text`."""
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)  # rfind is -1 on line 1
-    return ParseError(message, line, column)
+    """A ParseError at the 1-based line and column of `offset` in `text`.
+    Lines end at "\r\n", "\r" or "\n", as universal newlines reads a file."""
+    before = text[:offset].replace("\r\n", "\n").replace("\r", "\n")
+    column = len(before) - before.rfind("\n")  # rfind is -1 on line 1
+    return ParseError(message, before.count("\n") + 1, column)
 
 
 def _expected(want: str, found: str) -> str:

@@ -193,10 +193,34 @@ class TestCompile:
 
     def test_self_absorbing_gates_normalize(self):
         # AND with its own head in the body can never add information.
-        assert compiled("p :- p, q.").gates == ()
+        assert compiled("p :- p, q.").wiring == ()
         # OR reduces to its remaining inputs.
-        (gate,) = compiled("p :- p; q.").gates
-        assert gate.inputs == ("q",)
+        circuit = compiled("p :- p; q.")
+        assert circuit.wiring == (("or", (circuit.ids["q"],), circuit.ids["p"]),)
+        # the completion of ":- t, -t." is "-t :- -t." and "t :- t."
+        circuit = compiled(":- t, -t.")
+        assert (circuit.wiring, circuit.initial) == ((), ())
+
+    @pytest.mark.parametrize("rule, same", [
+        ("a :- b, b.", "a :- b."),
+        ("a, a :- b.", "a :- b."),
+        ("a :- b; b.", "a :- b."),
+        ("a, b :- c.", "b, a :- c."),
+        ("a :- b, c, b.", "a :- c, b."),
+        ("a :- b, c, d.", "a :- d, b, c."),
+    ])
+    def test_rules_with_the_same_distinct_sides_merge(self, rule, same):
+        # one merge key per distinct head wires, distinct input wires and
+        # kind: the rule wired first is the only one wired
+        assert compiled(f"{rule}\n{same}").wiring == compiled(rule).wiring
+        assert compiled(f"{same}\n{rule}").wiring == compiled(same).wiring
+
+    def test_identical_weighted_rules_stay_two_gates(self):
+        from igate.prob import _compile_weighted
+
+        program = parse_program("0.3 :: a :- b.\n0.3 :: a :- b.")
+        assert len(compile_program(program).wiring) == 2
+        assert len(_compile_weighted(program, 16)[0].wiring) == 2
 
     def test_split_equivalence_form2(self):
         joint = compiled("p :- a; b.")

@@ -123,6 +123,15 @@ class TestParsing:
             parse_program("a.\u2028b c.")
         assert str(info.value) == "1:6: expected '.', found 'c'"
 
+    def test_carriage_returns_end_lines_as_universal_newlines_read_them(self):
+        # `ig` reads files with universal newlines, so its positions agree
+        cases = {"a.\rb c.": "2:3", "a.\r\nb c.": "2:3", "a.\n\r\nb c.": "3:3",
+                 "a.\r\rb c.": "3:3", "%x\r\nb c.": "2:3"}
+        for source, position in cases.items():
+            with pytest.raises(ParseError) as info:
+                parse_program(source)
+            assert str(info.value) == f"{position}: expected '.', found 'c'"
+
     def test_atom_literal_is_the_parsed_literal_or_its_negation(self):
         positive = atom_literal("has(x,y)")
         assert positive == Literal("has", (Term("x"), Term("y")))

@@ -88,13 +88,13 @@ def _tokenize(text):
         kind = m.lastgroup or ""
         value = m.group()
         col = pos - line_start + 1
-        if kind == "ws":
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        elif kind == "comment":
-            pass
+        if kind in ("ws", "comment"):
+            # "\r\n", "\r" and "\n" each end a line, as universal newlines
+            # reads them; a comment runs to "\n" and may hold a "\r"
+            for i, ch in enumerate(value, pos):
+                if ch == "\r" or ch == "\n":
+                    line += ch == "\r" or text[i - 1 : i] != "\r"
+                    line_start = i + 1
         elif kind == "ident" and value == "not":
             raise ParseError(
                 "negation as failure ('not') is not supported; circuits only"

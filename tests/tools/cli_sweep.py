@@ -6,8 +6,9 @@
 programs, the text `HAND_WRITTEN` grounding cases, programs drawn with fixed
 seeds from the generators in `tests/oracles.py`, and heads that repeat a
 disjunct). Each input runs through `parse`, `ground`, `format`,
-`compile --dot`, `complete`, `models` (plain, `--json`, `--classical
---max-choices 12`), `eval`, `prob` (two queries) and `classify --json`,
+`compile` (plain and `--dot`), `complete`, `models` (plain, `--json`,
+`--classical --max-choices 12`), `eval` (plain, and `--set` of its first
+atom to true and to false), `prob` (two queries) and `classify --json`,
 in-process through `cli._dispatch`. `parse` also runs on `MALFORMED` and on
 seeded edits of the inputs, most of which no longer parse, so ParseError
 texts and their line:column are recorded too. For each invocation OUT.json
@@ -122,12 +123,15 @@ def commands(stem: str, queries: tuple[str, str]) -> list[list[str]]:
         ["parse", file],
         ["ground", file],
         ["format", file],
+        ["compile", file],
         ["compile", file, "--dot", dot],
         ["complete", file],
         ["models", file],
         ["models", file, "--json"],
         ["models", file, "--classical", "--max-choices", "12"],
         ["eval", file],
+        ["eval", file, "--set", first + "=true"],
+        ["eval", file, "--set", first + "=false"],
         ["prob", file, "--query", first],
         ["prob", file, "--query", "-" + last, "--given", "-" + first],
         ["classify", file, "--json"],
