@@ -9,10 +9,11 @@ queries (`igate.prob`) hold a BDD per wire. A wire is read again only when
 its value changes: its watch list names the gates and guards it feeds, and
 one fires when its last missing input arrives. Between worklist runs the
 digital kernel (`_fixpoint`) resolves each ready generator (byte 1 to
-byte 2). Model search branches over every generator left unresolved,
-extending a copy of the parent's state by the selected channels only; it
-prunes a state in which both wires of an atom are on, builds one model per
-distinct state, and returns models in a deterministic sorted order.
+byte 2). Model search runs once per component of the circuit, a part that
+shares no wire with the rest: it branches over the component's unresolved
+generators, extending a copy of the parent's state by the selected channels
+only, and prunes a state in which both wires of an atom are on. The models,
+in a deterministic sorted order, are the product of the components' states.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import (
@@ -258,6 +259,25 @@ def _check_choice_bits(circuit: Circuit, limit: int, scorers: Mapping[str, Score
         )
 
 
+def _components(circuit: Circuit) -> list[int]:
+    """A component label per generator. Two wires share a component when a
+    watch entry (a wire and its output), an atom's wire pair or a generator's
+    ready wire and its alternatives link them."""
+    wires, root = len(circuit.names), list(range(len(circuit.watch)))
+
+    def find(w: int) -> int:
+        while root[w] != w:
+            root[w] = w = root[root[w]]
+        return w
+
+    links = [(c, out) for c, entries in enumerate(circuit.watch) for out, _ in entries]
+    links += zip(range(0, wires, 2), range(1, wires, 2))
+    links += [(wires + g, c) for g, alt in enumerate(circuit.alternatives) for c in alt]
+    for a, b in links:
+        root[find(a)] = find(b)
+    return [find(wires + g) for g in range(len(circuit.generators))]
+
+
 def enumerate_models(
     circuit: Circuit,
     max_choice_bits: int = MAX_CHOICE_BITS,
@@ -270,26 +290,38 @@ def enumerate_models(
     canonical literal order (for `1{b; a}1.`, selection (0,) takes a);
     contradictory branches are pruned as soon as both channels of an atom
     are active. The result is deduplicated by atom values and sorted.
+
+    Each component of the circuit is searched once from the facts' fixpoint
+    and a model joins one state of each, so the search grows with the sum of
+    the components' trees, not their product (Bayardo & Pehoushek 2000).
     """
     scorers = scorers or {}
     _check_choice_bits(circuit, max_choice_bits, scorers)
-
-    # Depth-first, first alternative first. Propagation is monotone, so a
-    # branch extends a copy of its parent's fixpoint by the selected channels.
-    # Distinct consistent states are distinct models, as a leaf's ready bytes
-    # follow from its atom wires; the first found keeps its choices as provenance.
     wires = len(circuit.names)
-    found: dict[bytes, dict[str, tuple[int, ...]]] = {}
-    stack = [(*_initial(circuit, inputs), {})]
+    base, pending = _initial(circuit, inputs)
+    unresolved = _fixpoint(circuit, base, pending, {}, scorers)
+    if _contradictory(base, wires):
+        return []
+
+    # Depth-first per component (part), first alternative first, branching on
+    # the part's own generators. Propagation is monotone, so a branch extends
+    # a copy of its parent's fixpoint by the selected channels. Distinct
+    # consistent states are distinct models, as a leaf's ready bytes follow
+    # from its atom wires; the first found keeps its choices as provenance.
+    # A state is kept as its XOR difference from the base.
+    part_of, start = _components(circuit), int.from_bytes(base, "little")
+    found = {part_of[g]: {} for g in unresolved}  # per part: difference -> choices
+    stack = [(bytearray(base), [], {}, part) for part in found]
     while stack:
-        active, pending, choices = stack.pop()
+        active, pending, choices, part = stack.pop()
         unresolved = _fixpoint(circuit, active, pending, {}, scorers)
         if _contradictory(active, wires):
             continue
-        if not unresolved:
-            found.setdefault(bytes(active), choices)
+        own = [g for g in unresolved if part_of[g] == part]
+        if not own:
+            found[part].setdefault(int.from_bytes(active, "little") ^ start, choices)
             continue
-        g = unresolved[0]
+        g = own[0]
         gen = circuit.generators[g]
         active[wires + g] = 2  # every branch resolves g
         alternatives = circuit.alternatives[g]
@@ -297,11 +329,15 @@ def enumerate_models(
             branch, new = bytearray(active), []
             for i in selection:
                 _activate(branch, new, (alternatives[i],))
-            stack.append((branch, new, {**choices, gen.id: selection}))
-    models = [
-        Model(tuple(compress(circuit.values, state)), tuple(sorted(c.items())))
-        for state, c in found.items()
-    ]
+            stack.append((branch, new, {**choices, gen.id: selection}, part))
+    models = []
+    for combination in product(*(states.items() for states in found.values())):
+        state, provenance = start, {}
+        for difference, choices in combination:
+            state ^= difference  # exact, unlike OR: a ready byte goes from 1 to 2
+            provenance.update(choices)
+        assignment = compress(circuit.values, state.to_bytes(len(base), "little"))
+        models.append(Model(tuple(assignment), tuple(sorted(provenance.items()))))
     return sorted(models, key=lambda model: model.assignment)
 
 

@@ -254,7 +254,7 @@ class Program:
 # them, and punctuation, the commonest token, is tried first.
 _TOKEN_RE = re.compile(
     r"""
-    \s* (?: %[^\n]*\s* (?: %[^\n]*\s* )* | )
+    \s* (?: %[^\r\n]*\s* (?: %[^\r\n]*\s* )* | )
     (   [(),;^{}.\-]
       | [A-Za-z][A-Za-z0-9_]*               # constant, predicate or variable
       | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?

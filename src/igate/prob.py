@@ -62,7 +62,7 @@ def _compile_weighted(
     records, annotated = [], []
     for record in ground.records:
         kind, head, _, head_conn, _, probability = record
-        if kind is Rule and head_conn in (OR, XOR) and len(set(head)) > 1:
+        if kind is Rule and len(head) > 1 and head_conn in (OR, XOR) and len(set(head)) > 1:
             raise ProbabilityError(
                 "probabilistic evaluation does not support disjunctive heads"
             )

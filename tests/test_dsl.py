@@ -126,7 +126,7 @@ class TestParsing:
     def test_carriage_returns_end_lines_as_universal_newlines_read_them(self):
         # `ig` reads files with universal newlines, so its positions agree
         cases = {"a.\rb c.": "2:3", "a.\r\nb c.": "2:3", "a.\n\r\nb c.": "3:3",
-                 "a.\r\rb c.": "3:3", "%x\r\nb c.": "2:3"}
+                 "a.\r\rb c.": "3:3", "%x\r\nb c.": "2:3", "%x\rb c.": "2:3"}
         for source, position in cases.items():
             with pytest.raises(ParseError) as info:
                 parse_program(source)

@@ -7,16 +7,20 @@ integer channel ids. Propagation and model search must agree with it
 (active sets, errors, model order and provenance), and weighted worlds
 must agree world by world with a reference that recompiles the enabled
 statements of every world. A generator's ready wire must follow its guard
-and record whether it was resolved.
+and record whether it was resolved. Model search runs once per component
+of a circuit: on disjoint unions of random programs it must still agree
+with the reference, and its size must grow with the sum of the parts.
 """
 
 import itertools
 import math
 import random
+import re
 from typing import Collection
 
 import pytest
 
+from igate import digital
 from igate.circuit import Generator, compile_program
 from igate.digital import (
     Model,
@@ -300,3 +304,95 @@ class TestWorldsAgainstRecompile:
         program = parse_program("0.5 :: a. 0.4 :: b :- a; c. 0.3 :: c, d.")
         for world in enumerate_worlds(program):
             assert {atom for atom, _ in world.outcome.assignment} <= program.atoms()
+
+
+# ---------------------------------------------------------------------------
+# Search by components
+# ---------------------------------------------------------------------------
+
+def disjoint_union(programs):
+    """One program holding `programs` side by side, each with its constants,
+    predicates and propositions renamed apart by a prefix."""
+    return parse_program("".join(
+        re.sub(r"(?<![\w#])[a-z]\w*", lambda m: f"u{i}_{m.group()}", format_program(p))
+        for i, p in enumerate(programs)
+    ))
+
+
+def counting_fixpoint(monkeypatch):
+    """Patch `digital._fixpoint` to count its calls; returns the counter."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _fixpoint(*args)
+
+    monkeypatch.setattr(digital, "_fixpoint", counted)
+    return calls
+
+
+def assert_matches_sweep(circuit, scorers=None, inputs=(), text=""):
+    got = enumerate_models(circuit, 14, scorers or {}, inputs)
+    expected = sweep_enumerate_models(circuit, 14, scorers or {}, inputs)
+    assert [m.assignment for m in got] == [m.assignment for m in expected], text
+    assert [m.provenance for m in got] == [m.provenance for m in expected], text
+    return got
+
+
+class TestComponentSearch:
+    def test_disjoint_unions_match_sweep(self):
+        rng = random.Random(909)
+        programs = [program for program, _ in circuits(910, 120)]
+        searched = 0
+        for _ in range(300):
+            program = disjoint_union(rng.sample(programs, rng.randint(2, 4)))
+            circuit = compile_program(ground_program(program), xor_scorer=SCORER)
+            inputs = random_inputs(rng, circuit) if rng.random() < 0.5 else []
+            scorers = random_scorers(rng, circuit)
+            assert_matches_sweep(circuit, scorers, inputs, format_program(program))
+            searched += len(set(digital._components(circuit))) > 1
+        assert searched >= 100  # unions that really split into components
+
+    def test_a_component_without_a_consistent_state_leaves_no_model(self):
+        circuit = compile_program(parse_program("1{a; b}1. :- a. :- b. 1{c; d}1."))
+        assert assert_matches_sweep(circuit) == []
+
+    def test_an_atom_joins_the_parts_that_derive_its_two_values(self):
+        # x and -x are two wires of one atom: choosing a and c together is
+        # a contradiction, so the two choices are one component
+        circuit = compile_program(parse_program("1{a; b}1. 1{c; d}1. x :- a. -x :- c."))
+        models = assert_matches_sweep(circuit)
+        assert [m.render() for m in models] == ["a d x", "b c -x", "b d"]
+
+    def test_a_contradictory_base_leaves_no_model(self):
+        circuit = compile_program(parse_program("a. -a. 1{b; c}1. 1{d; e}1."))
+        assert assert_matches_sweep(circuit) == []
+
+    def test_a_circuit_without_generators_has_one_model(self):
+        circuit = compile_program(parse_program("a. b :- a. :- b, c."))
+        [model] = assert_matches_sweep(circuit)
+        assert model.render() == "a b -c"
+
+    def test_a_generator_scored_in_the_base_opens_no_branch(self, monkeypatch):
+        circuit = compile_program(parse_program("a ^ b. c :- a."), xor_scorer=SCORER)
+        scorers = {SCORER: lambda alt: "b" in alt}
+        calls = counting_fixpoint(monkeypatch)
+        [model] = enumerate_models(circuit, scorers=scorers)
+        assert calls[0] == 1  # the base fixpoint alone
+        assert model.render() == "b" and model.provenance == ()
+        assert_matches_sweep(circuit, scorers)
+
+    def test_search_grows_with_the_sum_of_the_components(self, monkeypatch):
+        # Eight copies of one two-way choice: 2^8 models from a search whose
+        # size is linear in the copies; a single search tree over all eight
+        # would call `_fixpoint` 511 times.
+        k = 8
+        circuit = compile_program(parse_program("".join(
+            f"1{{a{i}; b{i}}}1. c{i} :- a{i}. :- c{i}, z{i}." for i in range(k)
+        )))
+        calls = counting_fixpoint(monkeypatch)
+        models = enumerate_models(circuit)
+        assert len(models) == 2**k
+        assert calls[0] < 4 * k + 2
+        monkeypatch.undo()
+        assert_matches_sweep(circuit)

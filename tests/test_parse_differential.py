@@ -62,7 +62,7 @@ class _Token:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+  | (?P<comment>%[^\r\n]*)
   | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<ident>[a-z][A-Za-z0-9_]*)
   | (?P<var>[A-Z][A-Za-z0-9_]*)
@@ -90,7 +90,7 @@ def _tokenize(text):
         col = pos - line_start + 1
         if kind in ("ws", "comment"):
             # "\r\n", "\r" and "\n" each end a line, as universal newlines
-            # reads them; a comment runs to "\n" and may hold a "\r"
+            # reads them, and a comment runs to the first of them
             for i, ch in enumerate(value, pos):
                 if ch == "\r" or ch == "\n":
                     line += ch == "\r" or text[i - 1 : i] != "\r"
