@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .dsl import AND, OR, XOR, Choice, Constraint, Literal, Program, Rule
+from .dsl import _canonical, _statements
 from .errors import CircuitError
 from .grounding import GroundRecords, ground_records
 
@@ -182,7 +183,7 @@ def classicalize(program: Program, extra_atoms: Iterable[str] = ()) -> Program:
         raise CircuitError("classicalize requires a ground program")
     ground = ground_records(program, len(program.statements))
     classical = _classicalize_records(ground, extra_atoms)
-    added = classical.statements(classical.records[len(ground.records):])
+    added = _statements(classical.atoms, classical.records[len(ground.records):])
     return Program(program.statements + tuple(added), program.domain)
 
 
@@ -209,9 +210,9 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     the gate count does not depend on the order. A head feeding on itself
     adds nothing under monotone propagation: such an AND gate is dropped,
     and such an OR gate reduces to its other inputs. Only the records that
-    become generators are put in canonical order (`GroundRecords.canonical`),
-    so generators (gen0, gen1, ...) are numbered the same whatever the
-    order of the statements.
+    become generators are put in canonical order (`dsl._canonical`, which
+    ranks only the atoms they touch), so generators (gen0, gen1, ...) are
+    numbered the same whatever the order of the statements.
     """
     atoms = ground.atoms
     order = sorted(range(len(atoms)), key=atoms.__getitem__)
@@ -289,7 +290,7 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
     generators: list[Generator] = []
     alternatives: list[tuple[int, ...]] = []
     ready: list[int] = []
-    for kind, head, body, head_conn, body_conn, _ in ground.canonical(generative):
+    for _, (kind, head, body, head_conn, body_conn, _) in _canonical(atoms, generative):
         if kind is Choice:
             choice, cardinality, scorer = body, EXACTLY_ONE, None
             guards: list[tuple[int, ...]] = [()]
@@ -342,8 +343,8 @@ def export_dot(circuit: Circuit) -> str:
     boxes, generators as diamonds; only referenced channels are drawn.
 
     Gates are drawn in the order of the records they were wired from;
-    `ig compile` wires them in canonical order (`GroundRecords.canonical`),
-    so its drawing does not depend on the order of the statements."""
+    `ig compile` wires them in canonical order (`dsl._canonical`), so its
+    drawing does not depend on the order of the statements."""
     referenced: set[str] = set(circuit.facts)
     for gate in circuit.gates:
         referenced.update(gate.inputs)

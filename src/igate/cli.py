@@ -128,8 +128,9 @@ def _cmd_format(args, out) -> int:
 
 
 def _cmd_ground(args, out) -> int:
-    program = grounding.ground_program(_load_program(args.file), args.max_ground)
-    out.write(dsl.format_program(program))
+    program = _load_program(args.file)
+    ground = grounding.ground_records(program, args.max_ground)
+    out.write(dsl._program_text(program.domain, ground.atoms, ground.records))
     return 0
 
 
@@ -138,13 +139,15 @@ def _cmd_compile(args, out) -> int:
 
     ground = grounding.ground_records(_load_program(args.file), args.max_ground)
     # gates are drawn in record order; draw them in canonical order
-    ground = dataclasses.replace(ground, records=ground.canonical(ground.records))
-    compiled = circuit_mod.compile_records(ground)
+    canonical = [record for _, record in dsl._canonical(ground.atoms, ground.records)]
+    compiled = circuit_mod.compile_records(dataclasses.replace(ground, records=canonical))
     if args.dot:
         _write_file(args.dot, circuit_mod.export_dot(compiled))
+    channels = len(compiled.names)  # the ready wires come after the channels
+    facts = sum(c < channels for c in compiled.initial)
     print(
-        f"channels: {len(compiled.channels)}  gates: {len(compiled.gates)}"
-        f"  generators: {len(compiled.generators)}  facts: {len(compiled.facts)}",
+        f"channels: {channels}  gates: {len(compiled.wiring)}"
+        f"  generators: {len(compiled.generators)}  facts: {facts}",
         file=out,
     )
     return 0
@@ -153,16 +156,16 @@ def _cmd_compile(args, out) -> int:
 def _cmd_complete(args, out) -> int:
     from . import circuit as circuit_mod
 
-    program = grounding.ground_program(_load_program(args.file), args.max_ground)
-    statements: list[dsl.Statement] = []
-    for stmt in program.statements:
-        if isinstance(stmt, dsl.Constraint):
-            statements.extend(circuit_mod.complete_constraint(stmt))
-        else:
-            statements.append(stmt)
-    out.write(
-        dsl.format_program(dsl.Program(tuple(statements), program.domain))
-    )
+    program = _load_program(args.file)
+    ground = grounding.ground_records(program, args.max_ground)
+    # constraints become their completions, in any order: the text is sorted
+    records = [record for record in ground.records if record[0] is not dsl.Constraint]
+    records += [
+        (dsl.Rule, (head,), rest, dsl.SINGLE, dsl.AND, None)
+        for kind, _, body, *_ in ground.records if kind is dsl.Constraint
+        for head, rest in circuit_mod._completion(sorted(set(body)), (1).__xor__, int)
+    ]
+    out.write(dsl._program_text(program.domain, ground.atoms, records))
     return 0
 
 

@@ -26,12 +26,17 @@ stands, ahead of any grammar error. A ParseError's line and column are
 computed only when it is raised, by scanning the text again up to the
 failing token. A leading UTF-8 byte-order mark is dropped first, so it
 takes no column.
+
+Canonical order is computed once, on the integer wire records the
+grounder emits (`_canonical`): `format_program` and `canonicalize` encode
+their statements as records over atom names, variables included.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -479,60 +484,105 @@ def atom_literal(atom_name: str, negative: bool = False) -> Literal:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form and printing
+# Records, canonical form and printing
 # ---------------------------------------------------------------------------
 
-def _sorted_unique(literals: Sequence[Literal]) -> tuple[Literal, ...]:
-    return tuple(sorted(set(literals), key=Literal.sort_key))
+# A record is one statement over wires: atom a of an atom table ("p" or
+# "p(c1,c2)") owns wire 2a, its positive literal, and 2a + 1. It reads (kind,
+# head, body, head connective, body connective, probability); a constraint's
+# or a choice's literals are its body, and its other fields are empty.
 
-
-def canonicalize_statement(stmt: Statement) -> Statement:
+def _record(stmt: Statement, ids: dict[str, int]) -> tuple:
+    """The record of a statement, numbering each new atom name in `ids`."""
+    wires = tuple([2 * ids.setdefault(l.atom_name, len(ids)) + l.negative for l in stmt.literals()])
     if isinstance(stmt, Rule):
-        return Rule(
-            _sorted_unique(stmt.head),
-            _sorted_unique(stmt.body),
-            stmt.head_connective,
-            stmt.body_connective,
-            stmt.probability,
-        )
-    if isinstance(stmt, Constraint):
-        return Constraint(_sorted_unique(stmt.body))
-    if isinstance(stmt, Choice):
-        return Choice(_sorted_unique(stmt.literals_))
-    raise TypeError(f"unknown statement type {type(stmt).__name__}")
+        h, conns = len(stmt.head), (stmt.head_connective, stmt.body_connective)
+        return Rule, wires[:h], wires[h:], *conns, stmt.probability
+    return type(stmt), (), wires, None, None, None
+
+
+def _statements(atoms: Sequence[str], records: Iterable[tuple]) -> list[Statement]:
+    """The `Literal` view of `records` over `atoms`, one Literal per wire."""
+    @cache
+    def literal(wire: int) -> Literal:
+        predicate, _, args = atoms[wire >> 1].partition("(")
+        args = tuple(map(Term, args[:-1].split(","))) if args else ()
+        return Literal(predicate, args, bool(wire & 1))
+
+    return [
+        Rule(tuple(map(literal, head)), tuple(map(literal, body)), *fields)
+        if kind is Rule else kind(tuple(map(literal, body)))
+        for kind, head, body, *fields in records
+    ]
 
 
 _KIND_RANK = {Rule: 0, Constraint: 1, Choice: 2}
 
 
-def _statement_sort_key(stmt: Statement) -> tuple:
-    return (_KIND_RANK[type(stmt)], str(stmt))
+def _canonical(atoms: Sequence[str], records: Iterable[tuple]) -> list[tuple[str, tuple]]:
+    """The (text, record) pairs of `records` in canonical order, over the
+    same atom numbers. Each side is sorted and de-duplicated by one ranking
+    of the atoms touched, on (predicate, argument tuple) as in
+    `Literal.sort_key`, and its connective set by its length as in `Rule`.
+    Records sort by kind, then text; identical unweighted ones merge, and
+    weighted ones all stay, since each owns a switch."""
+    records = list(records)
+    touched = {w >> 1 for record in records for w in record[1] + record[2]}
 
+    def rank(atom: int) -> tuple:
+        predicate, _, args = atoms[atom].partition("(")
+        return predicate, args[:-1].split(",") if args else []
 
-def canonical_statements(statements: Iterable[Statement]) -> tuple[Statement, ...]:
-    """The statements with normalized literal order, sorted. Identical
-    unweighted statements merge; every weighted one stays, since each
-    annotated statement owns a switch of its own."""
-    seen: dict[Statement, None] = {}
-    weighted = []
-    for stmt in map(canonicalize_statement, statements):
-        if isinstance(stmt, Rule) and stmt.probability is not None:
-            weighted.append(stmt)
+    place, text = {}, {}  # wire -> its position in literal order, and its text
+    for i, atom in enumerate(sorted(touched, key=rank)):
+        name = atoms[atom].replace(",", ", ")
+        place[2 * atom], place[2 * atom + 1] = 2 * i, 2 * i + 1
+        text[2 * atom], text[2 * atom + 1] = name, "-" + name
+    position, spell = place.__getitem__, text.__getitem__
+
+    def side(wires: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(set(wires), key=position)) if len(wires) > 1 else wires
+
+    merged: dict[tuple, tuple] = {}
+    for kind, head, body, head_conn, body_conn, probability in records:
+        body = side(body)
+        if kind is Rule:
+            head = side(head)
+            head_conn = SINGLE if len(head) == 1 else head_conn
+            body_conn = body_conn if len(body) > 1 else SINGLE if body else EMPTY
+            line = _CONNECTIVE_SYMBOL[head_conn].join(map(spell, head))
+            if body:
+                line += " :- " + _CONNECTIVE_SYMBOL[body_conn].join(map(spell, body))
+            line = f"{line}." if probability is None else f"{probability!r} :: {line}."
+        elif kind is Constraint:
+            line = ":- " + ", ".join(map(spell, body)) + "."
+        elif len(body) < 2:
+            raise ValueError("choice needs at least two alternatives")
         else:
-            seen.setdefault(stmt, None)
-    return tuple(sorted([*seen, *weighted], key=_statement_sort_key))
+            line = "1{" + "; ".join(map(spell, body)) + "}1."
+        # a weighted record never merges: its key holds its position
+        key = _KIND_RANK[kind], line, -1 if probability is None else len(merged)
+        merged.setdefault(key, (kind, head, body, head_conn, body_conn, probability))
+    return [(key[1], merged[key]) for key in sorted(merged)]
+
+
+def _program_text(domain: Iterable[str], atoms: Sequence[str], records: Iterable[tuple]) -> str:
+    """The canonical text of `records`, under the "#entity" line of `domain`."""
+    lines = [f"#entity {', '.join(sorted(domain))}."] if domain else []
+    lines += [line for line, _ in _canonical(atoms, records)]
+    return "".join(line + "\n" for line in lines)
 
 
 def canonicalize(program: Program) -> Program:
     """The program with its statements in canonical form and order."""
-    return Program(canonical_statements(program.statements), program.domain)
+    ids: dict[str, int] = {}  # atom names, variables included ("p(X,a)")
+    records = [_record(stmt, ids) for stmt in program.statements]
+    canonical = [record for _, record in _canonical(tuple(ids), records)]
+    return Program(tuple(_statements(tuple(ids), canonical)), program.domain)
 
 
 def format_program(program: Program) -> str:
     """Render the canonical text form; parse(format(p)) == canonicalize(p)."""
-    canonical = canonicalize(program)
-    lines = []
-    if canonical.domain:
-        lines.append(f"#entity {', '.join(sorted(canonical.domain))}.")
-    lines.extend(str(stmt) for stmt in canonical.statements)
-    return "\n".join(lines) + ("\n" if lines else "")
+    ids: dict[str, int] = {}  # atom names, variables included ("p(X,a)")
+    records = [_record(stmt, ids) for stmt in program.statements]
+    return _program_text(program.domain, tuple(ids), records)

@@ -16,8 +16,7 @@ from the constants of its bound variables to the wires of its expansion
 over its open ones, so one binding of a statement is a few table lookups.
 `igate.circuit.compile_records` wires the records as they are (a ground
 `Program` gives one per statement), classicalized when asked;
-`ground_program` is their `Literal` view, which only `ig ground` and
-`ig complete` print.
+`ground_program`, their `Literal` view, is kept for the library.
 
 Each statement has one shape (`_shape`): the variables it is instantiated
 over and whether each binding splits its head. The statement's size and
@@ -27,9 +26,8 @@ built, so a refused program costs neither the time nor the memory of its
 expansion.
 
 The records come out in source order, each statement expanded one binding
-after another, and may repeat. `GroundRecords.canonical` is the one place
-outside `igate.dsl` that puts them in canonical order: for the circuit's
-generators, the weighted engine's switches and `ig compile`.
+after another, and may repeat; `igate.dsl._canonical` sorts them where
+order is read (generators, switches, the text and drawing of commands).
 """
 
 from __future__ import annotations
@@ -49,7 +47,8 @@ from .dsl import (
     Rule,
     Statement,
     Term,
-    canonical_statements,
+    _record,
+    _statements,
 )
 from .errors import GroundingError
 
@@ -60,65 +59,11 @@ MAX_GROUND_RULES = 10_000
 class GroundRecords:
     """A ground program as integer records over wire ids.
 
-    Atom a is named `atoms[a]` ("p" or "p(c1,c2)"), its positive literal is
-    wire 2a and its negative one 2a + 1. Each record is a tuple (kind, head,
-    body, head connective, body connective, probability), kind being Rule,
-    Constraint or Choice and each side a tuple of wires; a constraint's or
-    a choice's literals are its body, and it leaves the other fields empty.
-    `statements` and `canonical` take any records over this atom table.
-    """
+    Atom a is named `atoms[a]` ("p" or "p(c1,c2)") and owns wires 2a and
+    2a + 1; a record is one statement, in the form `igate.dsl` describes."""
 
     atoms: tuple[str, ...]
     records: list[tuple]
-
-    def statements(self, records: Iterable[tuple]) -> list[Statement]:
-        """The `Literal` view of `records`, one Literal per wire."""
-        atoms = self.atoms
-        terms: dict[str, Term] = {}
-        literals: dict[int, Literal] = {}
-
-        def literal(wire: int) -> Literal:
-            if wire not in literals:
-                if (partner := literals.get(wire ^ 1)) is not None:
-                    literals[wire] = partner.negated()
-                else:
-                    predicate, _, rest = atoms[wire >> 1].partition("(")
-                    args = rest[:-1].split(",") if rest else ()
-                    args = tuple(terms.setdefault(a, Term(a)) for a in args)
-                    literals[wire] = Literal(predicate, args, bool(wire & 1))
-            return literals[wire]
-
-        out: list[Statement] = []
-        for kind, head, body, head_conn, body_conn, probability in records:
-            body = tuple(map(literal, body))
-            if kind is Rule:
-                head = tuple(map(literal, head))
-                out.append(Rule(head, body, head_conn, body_conn, probability))
-            else:
-                out.append(kind(body))
-        return out
-
-    def canonical(self, records: Iterable[tuple]) -> list[tuple]:
-        """`records` in the order of `canonical_statements`, each re-encoded
-        over the same atom numbers: literals sorted and unique, identical
-        unweighted records merged, every weighted one kept."""
-        records = list(records)
-        ids = {self.atoms[w >> 1]: w >> 1 for r in records for w in r[1] + r[2]}
-        return [_record(stmt, ids) for stmt in canonical_statements(self.statements(records))]
-
-
-def _wires(literals: Iterable[Literal], ids: dict[str, int]) -> tuple[int, ...]:
-    """The wires of ground `literals`, numbering each new atom in `ids`."""
-    return tuple([2 * ids.setdefault(l.atom_name, len(ids)) + l.negative for l in literals])
-
-
-def _record(stmt: Statement, ids: dict[str, int]) -> tuple:
-    """The record of a ground statement, its literals as they are."""
-    if isinstance(stmt, Rule):
-        wires, h = _wires(stmt.head + stmt.body, ids), len(stmt.head)
-        conns = stmt.head_connective, stmt.body_connective
-        return Rule, wires[:h], wires[h:], *conns, stmt.probability
-    return type(stmt), (), _wires(stmt.literals(), ids), None, None, None
 
 
 def _collapses(choice: Choice, pool: list[str]) -> bool:
@@ -322,4 +267,4 @@ def ground_program(program: Program, max_rules: int = MAX_GROUND_RULES) -> Progr
     `Literal` view of `ground_records`, which documents the order, the
     domain and the errors."""
     ground = ground_records(program, max_rules)
-    return Program(tuple(ground.statements(ground.records)), program.domain)
+    return Program(tuple(_statements(ground.atoms, ground.records)), program.domain)

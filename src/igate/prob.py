@@ -9,7 +9,7 @@ of the atom table ("$s{i}", a name the parser cannot produce) whose wire
 each gate of its statement takes as an extra AND input. A disjunctive body
 splits into one record per disjunct, and a fact becomes a gate from its
 switch alone. Switch i belongs to the i-th annotated record in canonical
-order (`GroundRecords.canonical`). A query runs the digital kernel's one
+order (`dsl._canonical`). A query runs the digital kernel's one
 worklist (`digital._drain`) once, on reduced ordered BDDs of the switches
 in place of bytes (ProbLog's compilation), and takes the weighted model
 count of its consistent worlds: contradictory worlds are dropped and the
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import Circuit, compile_records
 from .digital import Model, _activate, _contradictory, _drain, _fixpoint, _initial
-from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule
+from .dsl import AND, OR, XOR, Choice, Literal, Program, Rule, _canonical
 from .errors import GuardError, ProbabilityError
 from .grounding import GroundRecords, ground_records
 
@@ -76,7 +76,7 @@ def _compile_weighted(
             f"{len(annotated)} probabilistic switches exceed the limit"
             f" {max_switches}; raise --max-switches to override"
         )
-    annotated = ground.canonical(annotated)
+    annotated = [record for _, record in _canonical(ground.atoms, annotated)]
     atoms = ground.atoms + tuple(f"$s{i}" for i in range(len(annotated)))
     for i, (_, head, body, head_conn, body_conn, _) in enumerate(annotated):
         switch = 2 * (len(ground.atoms) + i)

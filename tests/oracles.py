@@ -4,9 +4,10 @@ Nothing here touches Circuit, propagate, or the grounder: the truth-table
 oracle filters raw sign assignments, the naive probabilistic oracle
 forward-chains (head, body) pairs over plain sets, and the first-order
 oracle instantiates quantifiers directly over the constant pool. The
-former switch rewrite of the weighted engine and the former classical
-route (`classicalize`, `_encode` and `check_equivalence`) are kept here
-too, on `Literal` statements; `former_compile_weighted` and
+former canonicalizer (`canonical_statements`, which sorted `Literal`
+statements by their text), the former switch rewrite of the weighted engine
+and the former classical route (`classicalize`, `_encode` and
+`check_equivalence`) are kept here too, on `Literal` statements; `former_compile_weighted` and
 `former_check_equivalence` take the grounder and the compiler they run as
 arguments.
 """
@@ -30,9 +31,49 @@ from igate.dsl import (
     Rule,
     Term,
     atom_literal,
-    canonical_statements,
 )
 from igate.errors import GuardError, ProbabilityError, VocabularyMismatchError
+
+# ---------------------------------------------------------------------------
+# The former canonicalizer, on `Literal` statements
+# ---------------------------------------------------------------------------
+
+def _sorted_unique(literals) -> tuple[Literal, ...]:
+    return tuple(sorted(set(literals), key=Literal.sort_key))
+
+
+def canonicalize_statement(stmt):
+    if isinstance(stmt, Rule):
+        return Rule(
+            _sorted_unique(stmt.head),
+            _sorted_unique(stmt.body),
+            stmt.head_connective,
+            stmt.body_connective,
+            stmt.probability,
+        )
+    if isinstance(stmt, Constraint):
+        return Constraint(_sorted_unique(stmt.body))
+    if isinstance(stmt, Choice):
+        return Choice(_sorted_unique(stmt.literals_))
+    raise TypeError(f"unknown statement type {type(stmt).__name__}")
+
+
+_KIND_RANK = {Rule: 0, Constraint: 1, Choice: 2}
+
+
+def canonical_statements(statements) -> tuple:
+    """The statements with normalized literal order, sorted by kind and
+    text. Identical unweighted statements merge; every weighted one stays,
+    since each annotated statement owns a switch of its own."""
+    seen: dict = {}
+    weighted = []
+    for stmt in map(canonicalize_statement, statements):
+        if isinstance(stmt, Rule) and stmt.probability is not None:
+            weighted.append(stmt)
+        else:
+            seen.setdefault(stmt, None)
+    return tuple(sorted([*seen, *weighted], key=lambda s: (_KIND_RANK[type(s)], str(s))))
+
 
 # ---------------------------------------------------------------------------
 # Truth-table oracle for constraint sets

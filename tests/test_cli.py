@@ -875,3 +875,36 @@ class TestStatementOrder:
                 assert (drawn is not None) == ("--dot" in command)
             checked += 1
         assert checked > 100
+
+
+class TestCompileCounts:
+    def test_plain_compile_counts_without_the_named_views(self, tmp_path, monkeypatch):
+        """`ig compile` reads its counts from the circuit's integer fields:
+        the named views stay unbuilt, and the counts equal their lengths."""
+        from igate import circuit
+
+        sys.path.insert(0, str(Path(__file__).parent / "tools"))
+        import cli_sweep
+
+        compiled, original = [], circuit.compile_records
+
+        def compile_records(*args):
+            compiled.append(original(*args))
+            return compiled[-1]
+
+        monkeypatch.setattr(circuit, "compile_records", compile_records)
+        counted = 0
+        for source in cli_sweep.sources():
+            compiled.clear()
+            code, out, _ = run(["compile", write(tmp_path, "p.ig", source)])
+            if code != 0:
+                continue
+            (got,) = compiled
+            assert not {"gates", "channels", "facts"} & got.__dict__.keys()
+            expected = (
+                f"channels: {len(got.channels)}  gates: {len(got.gates)}"
+                f"  generators: {len(got.generators)}  facts: {len(got.facts)}\n"
+            )
+            assert out == expected, source
+            counted += 1
+        assert counted > 150

@@ -28,13 +28,12 @@ from igate.dsl import (
     Program,
     Rule,
     Term,
-    canonicalize_statement,
     parse_program,
 )
 from igate.errors import GroundingError
 from igate.grounding import MAX_GROUND_RULES, ground_program
 
-from oracles import random_first_order_program
+from oracles import canonicalize_statement, random_first_order_program
 
 
 ERRORS = ("produced more than", "widen", "spans", "collapsed", "domain is empty")

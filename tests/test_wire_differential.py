@@ -52,7 +52,9 @@ from igate.dsl import (
     Rule,
     Statement,
     Term,
-    canonical_statements,
+    _canonical,
+    _record,
+    _statements,
     canonicalize,
     format_program,
     parse_literal,
@@ -69,6 +71,7 @@ from igate.grounding import (
 from igate.prob import query_prob
 
 from oracles import (
+    canonical_statements,
     former_compile_weighted,
     random_first_order_program,
     random_ground_program,
@@ -468,15 +471,27 @@ class TestGroundingView:
                 assert by_wire.setdefault(lit, lit) is lit
 
 
+def canonical_records(ground: GroundRecords, records) -> list:
+    return [record for _, record in _canonical(ground.atoms, records)]
+
+
 class TestCanonicalRecords:
-    """`GroundRecords.canonical` reads as `canonical_statements` of the view."""
+    """`dsl._canonical` reads as the former `canonical_statements` of the
+    view, in records and in text."""
 
     @staticmethod
     def assert_canonical(ground, records) -> list:
-        got = outcome(lambda: ground.statements(ground.canonical(records)))
-        expected = outcome(lambda: list(canonical_statements(ground.statements(records))))
-        assert got == expected, format_program(Program(tuple(ground.statements(records))))
-        return got if isinstance(got, list) else []
+        atoms = ground.atoms
+        got = outcome(lambda: _statements(atoms, canonical_records(ground, records)))
+        expected = outcome(lambda: list(canonical_statements(_statements(atoms, records))))
+        assert got == expected, format_program(Program(tuple(_statements(atoms, records))))
+        if isinstance(got, list):
+            assert [text for text, _ in _canonical(atoms, records)] == list(map(str, got))
+            # the former re-encoding over the same atom numbers
+            ids = {name: atom for atom, name in enumerate(atoms)}
+            assert canonical_records(ground, records) == [_record(s, ids) for s in got]
+            return got
+        return []
 
     def test_random_and_workload_programs(self):
         rng = random.Random(1608)
@@ -503,12 +518,102 @@ class TestCanonicalRecords:
             ground = ground_records(parse_program(source))
             assert len(self.assert_canonical(ground, ground.records)) == count, source
             wires = {w for record in ground.records for w in record[1] + record[2]}
-            for record in ground.canonical(ground.records):  # over the same atom numbers
+            for record in canonical_records(ground, ground.records):  # the same atom numbers
                 assert set(record[1] + record[2]) <= wires
         # a choice that repeats its one alternative (grounding refuses it)
         ground = GroundRecords(("a",), [(Choice, (), (0, 0), None, None, None)])
         assert self.assert_canonical(ground, ground.records) == []
-        assert outcome(ground.canonical, ground.records)[0] is ValueError
+        assert outcome(canonical_records, ground, ground.records)[0] is ValueError
+
+
+def former_format(program: Program) -> str:
+    """The former `format_program`: the text of `canonical_statements`."""
+    lines = [f"#entity {', '.join(sorted(program.domain))}."] if program.domain else []
+    lines += [str(stmt) for stmt in canonical_statements(program.statements)]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCanonicalForm:
+    """`format_program` and `canonicalize` work on the records of the
+    statements, variables included, and give what the former canonicalizer
+    gave: the same text, the same statements, the same error."""
+
+    @staticmethod
+    def assert_same(program: Program) -> bool:
+        expected = outcome(lambda: Program(canonical_statements(program.statements), program.domain))
+        assert outcome(canonicalize, program) == expected, source_text(program)
+        assert outcome(format_program, program) == outcome(former_format, program)
+        return isinstance(expected, Program)
+
+    def test_random_and_hand_written_programs(self):
+        rng = random.Random(1610)
+        cases = list(programs(1611, 1200))
+        for _ in range(300):
+            program = random_first_order_program(rng)
+            cases.append(shuffled(rng, program))
+            program = random_mixed_program(rng)
+            cases.append(shuffled(rng, program))
+        cases += [c if isinstance(c, Program) else parse_program(c) for c in HAND_WRITTEN]
+        formatted = sum(map(self.assert_same, cases))
+        assert formatted > 1500
+        assert formatted < len(cases)  # some choice collapses
+
+    def test_names_where_string_and_tuple_order_differ(self):
+        # "a$" < "a(b)" as strings, but ("a", ("b",)) < ("a$", ()) as sort
+        # keys; likewise "p(a$)" < "p(a,b)" against ("a", "b") < ("a$",)
+        a_dollar, a_b, s0 = Literal("a$"), Literal("a", (Term("b"),)), Literal("$s0")
+        p_dollar = Literal("p", (Term("a$"),))
+        p_ab = Literal("p", (Term("a"), Term("b")))
+        program = Program((
+            Choice((p_dollar, p_ab, s0)),
+            Constraint((p_dollar, p_ab.negated(), a_dollar, p_dollar)),
+            Rule((a_b,)),
+            Rule((a_dollar,)),
+            Rule((a_b, s0, a_b), (p_dollar, p_ab), OR, AND),
+            Rule((p_ab,), (p_dollar,), probability=0.5),
+            Rule((p_ab,), (p_dollar, p_dollar), AND, AND, 0.5),
+        ))
+        assert self.assert_same(program)
+        assert format_program(program) == (
+            "$s0; a(b) :- p(a, b), p(a$).\n"
+            "0.5 :: p(a, b) :- p(a$).\n"
+            "0.5 :: p(a, b) :- p(a$).\n"
+            "a$.\n"
+            "a(b).\n"
+            ":- a$, -p(a, b), p(a$).\n"
+            "1{$s0; p(a, b); p(a$)}1.\n"
+        )
+
+    def test_a_choice_that_collapses_to_one_literal(self):
+        x = Literal("p", (Term("X"),))
+        for program in (
+            Program((Rule((Literal("a"),)), Choice((Literal("a"), Literal("a"))))),
+            Program((Choice((x, Literal("p", (Term("X"),)))),)),
+        ):
+            assert not self.assert_same(program)
+            expected = (ValueError, "choice needs at least two alternatives")
+            assert outcome(format_program, program) == expected
+            assert outcome(canonicalize, program) == expected
+
+    def test_commands_read_the_same_from_reversed_statements(self, tmp_path):
+        rng = random.Random(1612)
+        cases = [parse_program(c) for c in HAND_WRITTEN if isinstance(c, str)]
+        cases += [random_first_order_program(rng) for _ in range(40)]
+        cases += [random_mixed_program(rng) for _ in range(40)]
+        cases += workload_programs(10)[:6]  # the `enum`, `worlds` and `ground` shapes
+        dot = tmp_path / "circuit.dot"
+        printed = 0
+        for program in cases:
+            backwards = Program(program.statements[::-1], program.domain)
+            for command in (["ground"], ["complete"], ["format"], ["compile", "--dot", str(dot)]):
+                outputs = []
+                for source in (program, backwards):
+                    dot.unlink(missing_ok=True)
+                    code, text = TestCommandLine.run(tmp_path, source, *command)
+                    outputs.append((code, text, dot.read_bytes() if dot.exists() else None))
+                assert outputs[0] == outputs[1], (command, source_text(program))
+                printed += outputs[0][0] == 0
+        assert printed > 250
 
 
 class TestCircuit:
@@ -603,7 +708,8 @@ class TestQueries:
 
 
 class TestCommandLine:
-    def run(self, tmp_path, program: Program, *argv: str) -> tuple[int, str]:
+    @staticmethod
+    def run(tmp_path, program: Program, *argv: str) -> tuple[int, str]:
         path = tmp_path / "program.ig"
         path.write_text(source_text(program), encoding="utf-8")
         return cli.dispatch([argv[0], str(path), *argv[1:]])
