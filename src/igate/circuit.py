@@ -138,16 +138,13 @@ def _completion(ordered: list, negate, text) -> list[tuple]:
 
 
 def complete_constraint(constraint: Constraint) -> tuple[Rule, ...]:
-    """Material-implication completion: one rule per distinct literal.
-
-    Repeated literals are dropped first. ":- l1, ..., ln." then becomes the
-    n rules "neg(li) :- {lj : j != i}." (with n = 1, a plain fact
-    "neg(l1)."), the only gate placements that exclude exactly the
-    assignments violating the constraint.
-    """
+    """Material-implication completion: ":- l1, ..., ln." becomes the n
+    rules "neg(li) :- {lj : j != i}." (with n = 1, a plain fact "neg(l1)."),
+    the only gate placements that exclude exactly the assignments violating
+    the constraint; `Constraint` keeps its literals distinct."""
     if not all(l.is_ground for l in constraint.body):
         raise CircuitError("constraint completion requires ground literals")
-    ordered = sorted(set(constraint.body), key=Literal.sort_key)
+    ordered = sorted(constraint.body, key=Literal.sort_key)
     return tuple(
         Rule((head,), body, body_connective=AND)
         for head, body in _completion(ordered, Literal.negated, str)
@@ -205,14 +202,15 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
 
     One sort of the atom names lays the wires out in sorted atom order.
     Rules and constraints are wired in record order. An unweighted rule is
-    wired once per merge key, its distinct head wires, its distinct input
-    wires and its gate kind, and a constraint once per set of literals, so
-    the gate count does not depend on the order. A head feeding on itself
-    adds nothing under monotone propagation: such an AND gate is dropped,
-    and such an OR gate reduces to its other inputs. Only the records that
-    become generators are put in canonical order (`dsl._canonical`, which
-    ranks only the atoms they touch), so generators (gen0, gen1, ...) are
-    numbered the same whatever the order of the statements.
+    wired once per merge key, its head wires, its input wires (each side
+    distinct, see `GroundRecords`) and its gate kind, and a constraint once
+    per set of literals, so the gate count does not depend on the order. A
+    head feeding on itself adds nothing under monotone propagation: such an
+    AND gate is dropped, and such an OR gate reduces to its other inputs.
+    Only the records that become generators are put in canonical order
+    (`dsl._canonical`, which ranks only the atoms they touch), so generators
+    (gen0, gen1, ...) are numbered the same whatever the order of the
+    statements.
     """
     atoms = ground.atoms
     order = sorted(range(len(atoms)), key=atoms.__getitem__)
@@ -245,29 +243,25 @@ def compile_records(ground: GroundRecords, xor_scorer: str | None = None) -> Cir
                         for c in rest:
                             watch[c].append(entry)
                         wiring.append((AND, rest, out))
-        elif len(head) > 1 and head_conn in (OR, XOR) and len(set(head)) > 1:
+        elif len(head) > 1 and head_conn in (OR, XOR):
             generative.append(record)
         elif not body:
             facts.update(dict.fromkeys(map(wire, head)))
         else:
-            # the distinct wires per side, keyed as a wire, a sorted pair or a frozenset
-            if len(head) > 2:
-                head = tuple(dict.fromkeys(head))
+            # each side keyed as a wire, a sorted pair or a frozenset
             if len(head) > 2:
                 heads = tuple(map(wire, head))
                 hkey = frozenset(heads)
-            elif len(head) == 2 and head[0] != head[1]:
+            elif len(head) == 2:
                 a, b = place[head[0]], place[head[1]]
                 heads, hkey = (a, b), (a, b) if a < b else (b, a)
             else:
                 hkey = place[head[0]]
                 heads = (hkey,)
             if len(body) > 2:
-                body = tuple(dict.fromkeys(body))
-            if len(body) > 2:
                 inputs = tuple(map(wire, body))
                 ikey = frozenset(inputs)
-            elif len(body) == 2 and body[0] != body[1]:
+            elif len(body) == 2:
                 a, b = place[body[0]], place[body[1]]
                 inputs, ikey = (a, b), (a, b) if a < b else (b, a)
             else:

@@ -138,9 +138,10 @@ def _cmd_compile(args, out) -> int:
     from . import circuit as circuit_mod
 
     ground = grounding.ground_records(_load_program(args.file), args.max_ground)
-    # gates are drawn in record order; draw them in canonical order
-    canonical = [record for _, record in dsl._canonical(ground.atoms, ground.records)]
-    compiled = circuit_mod.compile_records(dataclasses.replace(ground, records=canonical))
+    if args.dot:  # gates are drawn in record order; draw them in canonical order
+        canonical = [record for _, record in dsl._canonical(ground.atoms, ground.records)]
+        ground = dataclasses.replace(ground, records=canonical)
+    compiled = circuit_mod.compile_records(ground)
     if args.dot:
         _write_file(args.dot, circuit_mod.export_dot(compiled))
     channels = len(compiled.names)  # the ready wires come after the channels
@@ -163,7 +164,7 @@ def _cmd_complete(args, out) -> int:
     records += [
         (dsl.Rule, (head,), rest, dsl.SINGLE, dsl.AND, None)
         for kind, _, body, *_ in ground.records if kind is dsl.Constraint
-        for head, rest in circuit_mod._completion(sorted(set(body)), (1).__xor__, int)
+        for head, rest in circuit_mod._completion(sorted(body), (1).__xor__, int)
     ]
     out.write(dsl._program_text(program.domain, ground.atoms, records))
     return 0

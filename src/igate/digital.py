@@ -347,7 +347,7 @@ def check_equivalence(
     classical: bool = True,
     max_choice_bits: int = MAX_CHOICE_BITS,
 ) -> Model | None:
-    """None when both programs have the same model set, else a witness model.
+    """None when both programs have the same models, else the least model only one has.
 
     With `classical` (the default) both programs' ground records are
     classicalized over the union of their atoms, mirroring
@@ -368,11 +368,6 @@ def check_equivalence(
     for circuit in circuits:
         _check_choice_bits(circuit, max_choice_bits, {})
     models1, models2 = (enumerate_models(c, max_choice_bits) for c in circuits)
-    set1 = {m.assignment for m in models1}
-    set2 = {m.assignment for m in models2}
-    if set1 == set2:
-        return None
-    for model in sorted(models1 + models2, key=lambda m: m.assignment):
-        if (model.assignment in set1) != (model.assignment in set2):
-            return model
-    return None
+    differ = {m.assignment for m in models1} ^ {m.assignment for m in models2}
+    witnesses = [m for m in models1 + models2 if m.assignment in differ]
+    return min(witnesses, key=lambda m: m.assignment, default=None)

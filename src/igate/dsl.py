@@ -14,6 +14,7 @@ Surface syntax (statements end with "."; "%" starts a line comment):
 "," is conjunction, ";" inclusive disjunction, "^" exclusive disjunction
 (heads only). Connectives may not be mixed within one head or one body.
 "-" is strong negation; the negation-as-failure keyword "not" is rejected.
+A rule side or a constraint body keeps each literal once (see `Rule`).
 Constants start lowercase, variables uppercase; predicate arity is capped
 at 2. "#entity" lines populate Program.domain rather than appearing as
 statements. A probability annotation ("0.3 :: ...") is only meaningful on
@@ -143,10 +144,10 @@ class Literal:
 class Rule:
     """head [:- body], optionally weighted; a fact is a Rule with empty body.
 
-    The connective of a side with one literal or none is set from its
-    length: a one-literal side is 'single' and an empty body 'empty',
-    whatever was passed. A longer side keeps its connective, which must be
-    'and', 'or' or (heads only) 'xor'.
+    Each side keeps each literal once, at its first position, so that
+    "a; a :- b, b." is "a :- b.". Then a side of one literal is 'single'
+    and an empty body 'empty', whatever was passed. A longer side keeps
+    its connective, which must be 'and', 'or' or (heads only) 'xor'.
     """
 
     head: tuple[Literal, ...]
@@ -158,6 +159,10 @@ class Rule:
     def __post_init__(self):
         if not self.head:
             raise ValueError("rule head must be non-empty")
+        if len(self.head) > 1:
+            object.__setattr__(self, "head", tuple(dict.fromkeys(self.head)))
+        if len(self.body) > 1:
+            object.__setattr__(self, "body", tuple(dict.fromkeys(self.body)))
         if len(self.head) == 1:
             object.__setattr__(self, "head_connective", SINGLE)
         elif self.head_connective not in (AND, OR, XOR):
@@ -189,13 +194,15 @@ class Rule:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Headless conjunction ":- l1, ..., ln." forbidding its body."""
+    """Headless ":- l1, ..., ln." forbidding its body, each literal once."""
 
     body: tuple[Literal, ...]
 
     def __post_init__(self):
         if not self.body:
             raise ValueError("constraint body must be non-empty")
+        if len(self.body) > 1:
+            object.__setattr__(self, "body", tuple(dict.fromkeys(self.body)))
 
     def literals(self) -> Iterator[Literal]:
         yield from self.body

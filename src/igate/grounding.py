@@ -60,7 +60,9 @@ class GroundRecords:
     """A ground program as integer records over wire ids.
 
     Atom a is named `atoms[a]` ("p" or "p(c1,c2)") and owns wires 2a and
-    2a + 1; a record is one statement, in the form `igate.dsl` describes."""
+    2a + 1; a record is one statement, in the form `igate.dsl` describes.
+    Each side of a rule or constraint record holds distinct wires, as the
+    literals of `Rule` and `Constraint` and the sides `_instances` joins do."""
 
     atoms: tuple[str, ...]
     records: list[tuple]

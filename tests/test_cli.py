@@ -234,6 +234,13 @@ class TestSubcommands:
         assert (code, out) == (1, "")
         assert err == "ig: --set names an atom not in the program: zz\n"
 
+    def test_eval_set_needs_true_or_false(self, tmp_path):
+        path = write(tmp_path, "p.ig", "p :- a, b.")
+        for value in ("a=maybe", "=true", "a"):
+            code, out, err = run(["eval", path, "--set", value])
+            assert (code, out) == (1, "")
+            assert err == f"ig: --set expects atom=true|false, got {value!r}\n"
+
     def test_eval_unresolved_generator(self, tmp_path):
         path = write(tmp_path, "p.ig", "a. p; q :- a.")
         code, _ = dispatch(["eval", path])
@@ -244,6 +251,36 @@ class TestSubcommands:
         code, out = dispatch(["classify", "--json", path])
         assert code == 0
         jsonschema.validate(json.loads(out), schema("classification.schema.json"))
+
+    def test_classify_prints_one_line_per_statement_and_the_summary(self, tmp_path):
+        path = write(
+            tmp_path, "p.ig",
+            "m :- a, b. g :- a; b. x; y :- g. p :- c. q :- c. a; a :- b. :- m, m.",
+        )
+        code, out, err = run(["classify", path])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "m :- a, b.                               form 1: comprehension [morphism]",
+            "g :- a; b.                               form 2: generalization",
+            "x; y :- g.                               form 4: specification",
+            "p :- c.                                  form 1: comprehension [morphism]",
+            "q :- c.                                  form 1: comprehension [morphism]",
+            # "a; a :- b." wires one AND gate and no generator: form 1, not 4
+            "a :- b.                                  form 1: comprehension [morphism]",
+            ":- m.                                    (not a rule)",
+            "forms present: [1, 2, 4]",
+            "implicit forms (split rules): [3]",
+            "duality pairs: comprehension <-> description, generalization <-> specification",
+            "emergence order: comprehension -> generalization -> specification",
+            "missing prerequisite forms: [3]",
+            "note: rules {p :- c. q :- c.} share a body and jointly realize a form-3"
+            " conjunctive head",
+        ]
+
+    def test_prob_prints_a_small_value_in_exponent_form(self, tmp_path):
+        path = write(tmp_path, "p.ig", "0.0001 :: a.")
+        code, out = dispatch(["prob", path, "--query", "a"])
+        assert (code, out) == (0, "1.000000000000e-04\n")
 
     def test_prob_output_format(self):
         code, out = dispatch(
@@ -309,6 +346,11 @@ class TestSubcommands:
         path = write(tmp_path, "t.json", json.dumps(table))
         code, _ = dispatch(["formulas", "--table", path, "--form", "1"])
         assert code == 2
+
+    def test_formulas_needs_a_form_or_compare(self, tmp_path):
+        path = write(tmp_path, "t.json", json.dumps({"a=1,p=1": 0.5, "a=0,p=0": 0.5}))
+        code, out, err = run(["formulas", "--table", path])
+        assert (code, out, err) == (1, "", "ig: formulas requires --form N or --compare\n")
 
     def test_formulas_reject_a_nan_mass(self, tmp_path):
         # NaN passes both the sign and the sum test, so it needs its own check.
@@ -417,6 +459,12 @@ class TestSubcommands:
         )
         payload = json.loads(out)
         assert payload["extracted"] and "residual" in payload
+
+    def test_vec_names_an_unknown_vector(self, tmp_path):
+        path = write(tmp_path, "v.json", json.dumps({"a": [1, 3], "b": [3, 1]}))
+        code, out, err = run(["vec", "merge", "--vectors", path, "--parts", "a,zz"])
+        assert (code, out) == (1, "")
+        assert err == f"ig: vector 'zz' not present in {path}\n"
 
     def test_vec_pair_needs_two_names(self, tmp_path):
         path = write(tmp_path, "v.json", json.dumps({"a": [1, 3], "b": [3, 1]}))

@@ -96,6 +96,20 @@ class TestPropagate:
         inactive = propagate(circuit, choices={"gen1": (1,), "gen0": (0,)})
         assert inactive == frozenset({"-a"})
 
+    @pytest.mark.parametrize(
+        "source, selection, message",
+        [
+            ("1{a; b}1.", (0, 1), "gen0 takes exactly one alternative"),
+            ("c. a; b :- c.", (), "gen0 requires a non-empty selection"),
+            ("c. a; b :- c.", (1, 1), "gen0: duplicate alternative indices"),
+            ("c. a; b :- c.", (0, 2), "gen0: alternative index 2 out of range"),
+            ("1{a; b}1.", (-1,), "gen0: alternative index -1 out of range"),
+        ],
+    )
+    def test_a_bad_selection_is_refused(self, source, selection, message):
+        with pytest.raises(ValueError, match=message):
+            propagate(compiled(source), choices={"gen0": selection})
+
 
 class TestEnumerate:
     def test_reference_program_has_seven_models(self):

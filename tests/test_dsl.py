@@ -207,6 +207,39 @@ class TestRuleConnectives:
         with pytest.raises(ValueError):
             Rule((Literal("a"),), (Literal("b"), Literal("c")), SINGLE, XOR)
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="rule head must be non-empty"):
+            Rule(())
+        for probability in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"probability must be within \[0, 1\]"):
+                Rule((Literal("a"),), probability=probability)
+        with pytest.raises(ValueError, match="constraint body must be non-empty"):
+            Constraint(())
+
+
+class TestEachLiteralOnce:
+    def test_repeated_literals_make_a_one_literal_side(self):
+        a, b = Literal("a"), Literal("b")
+        rule = Rule((a, a), (b, b), OR, AND)
+        assert rule == Rule((a,), (b,))
+        assert (rule.head_connective, rule.body_connective) == (SINGLE, SINGLE)
+        assert Rule((a, Literal("a")), (), XOR).head == (a,)
+        assert Constraint((b, b)) == Constraint((b,))
+
+    def test_each_literal_keeps_its_first_position(self):
+        a, b, c = Literal("a"), Literal("b"), Literal("c")
+        rule = Rule((b, a, b), (c, a, c, b), OR, AND, 0.5)
+        assert rule.head == (b, a) and rule.body == (c, a, b)
+        assert (rule.head_connective, rule.body_connective) == (OR, AND)
+        assert Constraint((c, a, c)).body == (c, a)
+
+    def test_the_parser_reads_and_prints_each_literal_once(self):
+        program = parse_program("a; a :- b, b.\nx ^ y ^ x :- z; z.\n:- c, -c, c.")
+        assert [str(s) for s in program.statements] == [
+            "a :- b.", "x ^ y :- z.", ":- c, -c."
+        ]
+        assert program == parse_program("a :- b.\nx ^ y :- z.\n:- c, -c.")
+
 
 class TestFormatting:
     def test_plain_rule(self):

@@ -168,6 +168,14 @@ class TestGrounding:
         grounded = ground_program(program)
         assert len(grounded.statements) <= 2 ** 3
 
+    def test_a_repeated_body_literal_keeps_the_grounding_shape(self):
+        once = grounding.ground_records(parse_program("#entity k1, k2.\np(X) :- q(X,Y)."))
+        # two records, so within a limit of two
+        twice = grounding.ground_records(
+            parse_program("#entity k1, k2.\np(X) :- q(X,Y), q(X,Y)."), max_rules=2
+        )
+        assert twice == once and len(twice.records) == 2
+
 
 class TestModelPreservation:
     def test_two_constant_domains_match_first_order_oracle(self):

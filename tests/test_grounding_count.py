@@ -31,9 +31,14 @@ from igate.dsl import (
     parse_program,
 )
 from igate.errors import GroundingError
-from igate.grounding import MAX_GROUND_RULES, ground_program
+from igate.grounding import MAX_GROUND_RULES, ground_program, ground_records
 
-from oracles import canonicalize_statement, random_first_order_program
+from oracles import (
+    canonicalize_statement,
+    random_first_order_program,
+    random_ground_program,
+    random_weighted_program,
+)
 
 
 ERRORS = ("produced more than", "widen", "spans", "collapsed", "domain is empty")
@@ -413,3 +418,26 @@ def test_random_mixed_programs_agree_with_reference():
     for _ in range(1500):
         kinds |= assert_agrees(random_mixed_program(rng))
     assert kinds == {"ok", *ERRORS}
+
+
+def test_every_rule_and_constraint_record_holds_distinct_wires_per_side():
+    rng = random.Random(11)
+    programs = [
+        case if isinstance(case, Program) else parse_program(case) for case in HAND_WRITTEN
+    ]
+    for make in (
+        random_ground_program, random_first_order_program, random_weighted_program,
+        random_mixed_program,
+    ):
+        programs += [make(rng) for _ in range(300)]
+    checked = 0
+    for program in programs:
+        try:
+            records = ground_records(program).records
+        except GroundingError:
+            continue
+        for kind, head, body, *_ in records:
+            if kind is not Choice:
+                assert len(set(head)) == len(head) and len(set(body)) == len(body), program
+                checked += 1
+    assert checked > 1000

@@ -1,6 +1,6 @@
 """Record the output of a fixed, seeded list of `ig` invocations as JSON.
 
-    PYTHONPATH=path/to/src python tests/tools/cli_sweep.py OUT.json
+    PYTHONPATH=path/to/src python tests/tools/cli_sweep.py OUT.json [EARLIER.json]
 
 `igate` comes from PYTHONPATH; the inputs come from this checkout (the demo
 programs, the text `HAND_WRITTEN` grounding cases, programs drawn with fixed
@@ -8,15 +8,23 @@ seeds from the generators in `tests/oracles.py`, and heads that repeat a
 disjunct). Each input runs through `parse`, `ground`, `format`,
 `compile` (plain and `--dot`), `complete`, `models` (plain, `--json`,
 `--classical --max-choices 12`), `eval` (plain, and `--set` of its first
-atom to true and to false), `prob` (two queries) and `classify --json`,
-in-process through `cli._dispatch`. `parse` also runs on `MALFORMED` and on
-seeded edits of the inputs, most of which no longer parse, so ParseError
-texts and their line:column are recorded too. For each invocation OUT.json
-holds the argv, the exit code, stdout, stderr and the DOT text written, if
-any. The input files live in a temporary directory, named relative to it,
-so two runs on the same code write the same bytes: to compare two versions
-of igate, run the script once with each version's `src` on PYTHONPATH and
-`cmp` the outputs.
+atom to true and to false), `prob` (two queries) and `classify` (plain and
+`--json`), in-process through `cli._dispatch`. `parse` also runs on
+`MALFORMED` and on seeded edits of the inputs, most of which no longer
+parse, so ParseError texts and their line:column are recorded too.
+
+OUT.json holds one entry per input file: its name, its text, and for each
+invocation the argv, the exit code, stdout, stderr and the DOT text
+written, if any. The input files live in a temporary directory, named
+relative to it, so two runs on the same code write the same bytes.
+
+The generated programs are written as text by the `igate` under test
+(`str(stmt)`), so a change to how statements print also changes the
+inputs. To compare two versions of igate on the same inputs, run the
+script with the earlier version's `src` on PYTHONPATH, then with the later
+one's and the earlier OUT.json as EARLIER.json: its input texts and argvs
+are replayed as they are. `cmp` the two outputs, or compare them entry by
+entry.
 """
 
 from __future__ import annotations
@@ -134,20 +142,34 @@ def commands(stem: str, queries: tuple[str, str]) -> list[list[str]]:
         ["eval", file, "--set", first + "=false"],
         ["prob", file, "--query", first],
         ["prob", file, "--query", "-" + last, "--given", "-" + first],
+        ["classify", file],
         ["classify", file, "--json"],
     ]
 
 
-def sweep() -> list[dict]:
+def cases() -> list[tuple[str, str, list[list[str]]]]:
+    """(stem, file text, argvs) of every input, drawn afresh."""
     texts = sources()
     runs = [(f"p{n:04d}", source, commands(f"p{n:04d}", queries))
             for n, (source, queries) in enumerate(inputs(texts))]
     runs += [(f"e{n:04d}", source, [["parse", f"e{n:04d}.ig"]])
              for n, source in enumerate(malformed(texts))]
-    results = []
+    return runs
+
+
+def replayed(earlier: Path) -> list[tuple[str, str, list[list[str]]]]:
+    """(stem, file text, argvs) of every input recorded in `earlier`."""
+    entries = json.loads(earlier.read_text(encoding="utf-8"))
+    return [(e["file"].removesuffix(".ig"), e["text"], [r["argv"] for r in e["runs"]])
+            for e in entries]
+
+
+def sweep(runs: list[tuple[str, str, list[list[str]]]]) -> list[dict]:
+    entries = []
     for stem, source, argvs in runs:
         file, dot = stem + ".ig", stem + ".dot"
         Path(file).write_text(source, encoding="utf-8")
+        results = []
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             code = _dispatch(argv, out, err)
@@ -158,22 +180,25 @@ def sweep() -> list[dict]:
                 {"argv": argv, "code": code, "stdout": out.getvalue(),
                  "stderr": err.getvalue(), "dot": drawn}
             )
-    return results
+        entries.append({"file": file, "text": source, "runs": results})
+    return entries
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         return 1
     target = Path(sys.argv[1]).resolve()
+    runs = replayed(Path(sys.argv[2])) if len(sys.argv) == 3 else cases()
     start, here = time.perf_counter(), os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cli-sweep-") as tmp:
         os.chdir(tmp)
         try:
-            results = sweep()
+            entries = sweep(runs)
         finally:
             os.chdir(here)
-    target.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    target.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    results = [r for entry in entries for r in entry["runs"]]
     drawn = sum(r["dot"] is not None for r in results)
     print(
         f"{len(results)} invocations, {drawn} DOT files,"
